@@ -164,30 +164,22 @@ def _parse_reference_policy(doc) -> object:
     raise ConfigError("params.reference_policy must be a string or object")
 
 
+_PARAM_POLICIES = {"gamma_init_policy", "reference_policy"}
+# Every other SolverParams field is a number of the type of its default.
 _PARAM_SCALARS = {
-    "gamma_min",
-    "gamma_max",
-    "alpha_min",
-    "alpha_max",
-    "beta_min",
-    "beta_max",
-    "p_min",
-    "epsilon",
-    "max_outer_iters",
-    "max_backtracks",
+    f.name: type(f.default)
+    for f in dataclasses.fields(SolverParams)
+    if f.name not in _PARAM_POLICIES
 }
 
 
 def _parse_params(doc: dict) -> SolverParams:
-    allowed = _PARAM_SCALARS | {"gamma_init_policy", "reference_policy"}
-    _check_keys(doc, allowed, "params.")
+    _check_keys(doc, _PARAM_SCALARS.keys() | _PARAM_POLICIES, "params.")
     kwargs = {}
-    for key in _PARAM_SCALARS:
+    for key, kind in _PARAM_SCALARS.items():
         if key in doc:
-            if key in ("max_outer_iters", "max_backtracks"):
-                kwargs[key] = _as_int(doc[key], f"params.{key}")
-            else:
-                kwargs[key] = _as_float(doc[key], f"params.{key}")
+            as_number = _as_int if kind is int else _as_float
+            kwargs[key] = as_number(doc[key], f"params.{key}")
     if "gamma_init_policy" in doc:
         kwargs["gamma_init_policy"] = _parse_gamma_policy(doc["gamma_init_policy"])
     if "reference_policy" in doc:
@@ -282,16 +274,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return {
         "problem": problem,
         "params": {
-            "gamma_min": p.gamma_min,
-            "gamma_max": p.gamma_max,
-            "alpha_min": p.alpha_min,
-            "alpha_max": p.alpha_max,
-            "beta_min": p.beta_min,
-            "beta_max": p.beta_max,
-            "p_min": p.p_min,
-            "epsilon": p.epsilon,
-            "max_outer_iters": p.max_outer_iters,
-            "max_backtracks": p.max_backtracks,
+            **{key: getattr(p, key) for key in _PARAM_SCALARS},
             "gamma_init_policy": gamma_policy,
             "reference_policy": ref_policy,
         },

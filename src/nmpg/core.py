@@ -1,4 +1,7 @@
-"""Shared domain types: extended reals, problem containers, solver knobs."""
+"""Shared domain types: problem containers, solver knobs, run records.
+
+Extended real values are plain floats: ``math.inf`` means outside dom(phi).
+"""
 
 from __future__ import annotations
 
@@ -31,110 +34,6 @@ def frozen_array(x) -> Vector:
     a = np.array(x, dtype=np.float64)
     a.setflags(write=False)
     return a
-
-
-class ExtReal:
-    """Scalar in R union {+inf}.
-
-    +inf is a tagged value, deliberately distinct from ``float('inf')``: an
-    infinite float coming out of a smooth evaluation means numerical overflow
-    and must surface as a failure, not as infeasibility. The constructor
-    therefore rejects every non-finite float; the only infinite value is the
-    ``ExtReal.POS_INF`` singleton. -inf is unrepresentable.
-    """
-
-    __slots__ = ("_value",)
-
-    POS_INF: "ExtReal"
-
-    def __init__(self, value: float) -> None:
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(
-                "ExtReal holds finite reals only (+inf is ExtReal.POS_INF); "
-                "a non-finite float here indicates numerical overflow"
-            )
-        self._value = value
-
-    @property
-    def is_finite(self) -> bool:
-        return self._value is not None
-
-    @property
-    def value(self) -> float:
-        """The finite value; raises for +inf."""
-        if self._value is None:
-            raise ValueError("POS_INF has no finite value")
-        return self._value
-
-    def __float__(self) -> float:
-        return math.inf if self._value is None else self._value
-
-    @staticmethod
-    def _key(other) -> float:
-        if isinstance(other, ExtReal):
-            return float(other)
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            other = float(other)
-            if math.isnan(other) or other == -math.inf:
-                raise ValueError("cannot compare ExtReal with NaN or -inf")
-            return other
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other) -> "ExtReal":
-        key = self._key(other)
-        if key is NotImplemented:
-            return NotImplemented
-        if self._value is None or key == math.inf:
-            return ExtReal.POS_INF
-        return ExtReal(self._value + key)
-
-    __radd__ = __add__
-
-    def __eq__(self, other) -> bool:
-        key = self._key(other)
-        if key is NotImplemented:
-            return NotImplemented
-        return float(self) == key
-
-    def __lt__(self, other) -> bool:
-        key = self._key(other)
-        if key is NotImplemented:
-            return NotImplemented
-        return float(self) < key
-
-    def __le__(self, other) -> bool:
-        key = self._key(other)
-        if key is NotImplemented:
-            return NotImplemented
-        return float(self) <= key
-
-    def __gt__(self, other) -> bool:
-        key = self._key(other)
-        if key is NotImplemented:
-            return NotImplemented
-        return float(self) > key
-
-    def __ge__(self, other) -> bool:
-        key = self._key(other)
-        if key is NotImplemented:
-            return NotImplemented
-        return float(self) >= key
-
-    def __hash__(self) -> int:
-        return hash(float(self))
-
-    def __repr__(self) -> str:
-        return "ExtReal(+inf)" if self._value is None else f"ExtReal({self._value!r})"
-
-
-def _make_pos_inf() -> ExtReal:
-    inf = object.__new__(ExtReal)
-    inf._value = None  # type: ignore[assignment]
-    return inf
-
-
-ExtReal.POS_INF = _make_pos_inf()
 
 
 @dataclass(frozen=True)
@@ -187,8 +86,8 @@ class NonsmoothTerm(abc.ABC):
     dim: int
 
     @abc.abstractmethod
-    def eval(self, x: Vector) -> ExtReal:
-        """phi(x) as an extended real."""
+    def eval(self, x: Vector) -> float:
+        """phi(x); math.inf outside dom(phi)."""
 
     @abc.abstractmethod
     def prox(self, gamma: float, v: Vector) -> Vector:
@@ -244,11 +143,11 @@ class CompositeProblem:
             x_star = as_vector(opt.x_star)
             check_dim(x_star, self.f.dim, "x_star")
             psi = psi_eval(self, x_star)
-            if not psi.is_finite or abs(psi.value - opt.psi_star) > 1e-10 * (
+            if not math.isfinite(psi) or abs(psi - opt.psi_star) > 1e-10 * (
                 1.0 + abs(opt.psi_star)
             ):
                 raise ValueError(
-                    f"declared optimum inconsistent: psi(x_star)={float(psi)!r} "
+                    f"declared optimum inconsistent: psi(x_star)={psi!r} "
                     f"vs psi_star={opt.psi_star!r}"
                 )
 
@@ -257,18 +156,21 @@ class CompositeProblem:
         return self.f.dim
 
 
-def psi_eval(problem: CompositeProblem, x) -> ExtReal:
-    """Objective psi(x) = f(x) + phi(x) under extended-real addition.
+def psi_eval(problem: CompositeProblem, x) -> float:
+    """Objective psi(x) = f(x) + phi(x).
 
-    phi is evaluated first: outside dom(phi) the result is +inf regardless of
-    f. A non-finite smooth value at a feasible point raises (overflow).
+    phi is evaluated first: outside dom(phi) the result is math.inf regardless
+    of f. A non-finite smooth value at a feasible point raises (overflow).
     """
     x = as_vector(x)
     check_dim(x, problem.dim, "x")
-    phi_val = problem.phi.eval(x)
-    if not phi_val.is_finite:
-        return ExtReal.POS_INF
-    return ExtReal(problem.f.eval(x)) + phi_val
+    phi_val = float(problem.phi.eval(x))
+    if phi_val == math.inf:
+        return math.inf
+    f_val = float(problem.f.eval(x))
+    if not math.isfinite(f_val):
+        raise ValueError(f"smooth term is {f_val!r} at a feasible point")
+    return f_val + phi_val
 
 
 @dataclass(frozen=True)
@@ -319,15 +221,15 @@ class SolverParams:
     """All constants of the nonmonotone proximal gradient iteration.
 
     Defaults are conventional choices satisfying every required strict
-    inequality; epsilon = 0 disables the residual termination test.
+    inequality; epsilon = 0 disables the residual termination test. alpha is
+    the sufficient-decrease constant of the acceptance test and beta the
+    factor each backtrack multiplies the trial stepsize by.
     """
 
     gamma_min: float = 1e-10
     gamma_max: float = 1.0
-    alpha_min: float = 0.1
-    alpha_max: float = 0.1
-    beta_min: float = 0.5
-    beta_max: float = 0.5
+    alpha: float = 0.1
+    beta: float = 0.5
     p_min: float = 0.1
     epsilon: float = 1e-8
     max_outer_iters: int = 100_000
@@ -342,18 +244,10 @@ class SolverParams:
             raise ValueError("gamma_max must be a positive finite real")
         if self.gamma_min > self.gamma_max:
             raise ValueError("gamma_min must be <= gamma_max")
-        if not 0.0 < self.alpha_min < 1.0:
-            raise ValueError("alpha_min must lie in (0, 1)")
-        if not 0.0 < self.alpha_max < 1.0:
-            raise ValueError("alpha_max must lie in (0, 1)")
-        if self.alpha_min > self.alpha_max:
-            raise ValueError("alpha_min must be <= alpha_max")
-        if not 0.0 < self.beta_min < 1.0:
-            raise ValueError("beta_min must lie in (0, 1)")
-        if not 0.0 < self.beta_max < 1.0:
-            raise ValueError("beta_max must lie in (0, 1)")
-        if self.beta_min > self.beta_max:
-            raise ValueError("beta_min must be <= beta_max")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must lie in (0, 1)")
+        if not 0.0 < self.beta < 1.0:
+            raise ValueError("beta must lie in (0, 1)")
         if not 0.0 < self.p_min <= 1.0:
             raise ValueError("p_min must lie in (0, 1]")
         if not (self.epsilon >= 0.0 and math.isfinite(self.epsilon)):

@@ -113,9 +113,11 @@ def audit_trace(trace: list[IterationRecord], params: SolverParams) -> AuditRepo
         checks.append(AuditCheck("xi_consistency", viol_xi <= 1e-12, viol_xi, 1e-12))
 
     mean_rule = isinstance(params.reference_policy, MeanReference)
-    a_const = (1.0 - params.alpha_max) / (2.0 * params.gamma_max)
+    a_const = (1.0 - params.alpha) / (2.0 * params.gamma_max)
     if mean_rule and n >= 2:
-        # reference drop per step, and its square-root echo against xi
+        # reference drop per step, and its echo against xi. Both compare in
+        # the units of psi: in square-root units, a drop lost to rounding
+        # (xi = 0) after a step of 1e-9 would already exceed the slack.
         viol_drop = float(
             np.max(ref[1:] - ref[:-1] + params.p_min * a_const * step[:-1] ** 2)
         )
@@ -123,7 +125,7 @@ def audit_trace(trace: list[IterationRecord], params: SolverParams) -> AuditRepo
             AuditCheck("reference_drop_per_step", viol_drop <= 1e-10, viol_drop, 1e-10)
         )
         viol_sx = float(
-            np.max(math.sqrt(a_const * params.p_min) * step[:-1] - xi[1:])
+            np.max(a_const * params.p_min * step[:-1] ** 2 - xi[1:] ** 2)
         )
         checks.append(
             AuditCheck("step_bounded_by_xi", viol_sx <= 1e-10, viol_sx, 1e-10)

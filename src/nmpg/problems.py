@@ -306,7 +306,7 @@ def reference_optimum(
     )
     result = solve(problem, params, problem.phi.domain_witness)
     x_star = frozen_array(result.x_final)
-    psi_star = float(psi_eval(problem, x_star))
+    psi_star = psi_eval(problem, x_star)
     return psi_star, x_star
 
 

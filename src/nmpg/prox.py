@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExtReal, NonsmoothTerm, Vector, as_vector, frozen_array
+from .core import NonsmoothTerm, Vector, as_vector, frozen_array
 
 
 def prox_l1(v: Vector, tau: float) -> Vector:
@@ -26,17 +26,16 @@ def prox_l0(v: Vector, tau: float) -> Vector:
     return np.where(np.abs(v) > math.sqrt(2.0 * tau), v, 0.0)
 
 
-def _lhalf_scalar(v: float, tau: float) -> float:
+def _lhalf_scalar(v: float, tau: float, t_lo: float) -> float:
     # Minimize m(t) = tau*sqrt(|t|) + (t - v)^2 / 2. The minimizer shares the
     # sign of v, so reduce to av = |v| and compare the candidate t = 0 against
     # the local minimum of m on (0, av), which is the larger root of
-    # m'(t) = tau/(2 sqrt(t)) + t - av. m' is increasing for t >= (tau/4)^(2/3),
-    # giving a bisection bracket [t_lo, av].
+    # m'(t) = tau/(2 sqrt(t)) + t - av. m' is increasing for
+    # t >= t_lo = (tau/4)^(2/3), giving a bisection bracket [t_lo, av].
     if v == 0.0:
         return 0.0
     sign = 1.0 if v > 0.0 else -1.0
     av = abs(v)
-    t_lo = (tau / 4.0) ** (2.0 / 3.0)
     if t_lo >= av:
         return 0.0
 
@@ -45,8 +44,19 @@ def _lhalf_scalar(v: float, tau: float) -> float:
 
     if slope(t_lo) > 0.0:
         return 0.0
+    # Bisect to width 1e-12; from 2**13 on, adjacent floats lie further apart
+    # than that, so bisect to the float spacing of av instead. From 2**511 on,
+    # the objectives below would overflow, and the root rounds to av unless
+    # tau > 2**713, so v passes through, as do inf and nan (the caller's
+    # finiteness check reports those).
+    if av < 8192.0:
+        tol = 1e-12
+    elif av < 2.0**511:
+        tol = math.ulp(av)
+    else:
+        return v
     lo, hi = t_lo, av
-    while hi - lo > 1e-12:
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if slope(mid) <= 0.0:
             lo = mid
@@ -63,7 +73,8 @@ def prox_lhalf(v: Vector, tau: float) -> Vector:
     if tau <= 0:
         raise ValueError("tau must be positive")
     v = as_vector(v)
-    return np.array([_lhalf_scalar(float(vi), tau) for vi in v])
+    t_lo = (tau / 4.0) ** (2.0 / 3.0)
+    return np.array([_lhalf_scalar(float(vi), tau, t_lo) for vi in v])
 
 
 def prox_box(v: Vector, lo: Vector, hi: Vector) -> Vector:
@@ -105,8 +116,8 @@ class L1Term(NonsmoothTerm):
         if self.lam <= 0:
             raise ValueError("lam must be positive")
 
-    def eval(self, x: Vector) -> ExtReal:
-        return ExtReal(self.lam * float(np.abs(x).sum()))
+    def eval(self, x: Vector) -> float:
+        return self.lam * float(np.abs(x).sum())
 
     def prox(self, gamma: float, v: Vector) -> Vector:
         return prox_l1(v, gamma * self.lam)
@@ -129,8 +140,8 @@ class L0Term(NonsmoothTerm):
         if self.lam <= 0:
             raise ValueError("lam must be positive")
 
-    def eval(self, x: Vector) -> ExtReal:
-        return ExtReal(self.lam * float(np.count_nonzero(x)))
+    def eval(self, x: Vector) -> float:
+        return self.lam * float(np.count_nonzero(x))
 
     def prox(self, gamma: float, v: Vector) -> Vector:
         return prox_l0(v, gamma * self.lam)
@@ -153,8 +164,8 @@ class LHalfTerm(NonsmoothTerm):
         if self.lam <= 0:
             raise ValueError("lam must be positive")
 
-    def eval(self, x: Vector) -> ExtReal:
-        return ExtReal(self.lam * float(np.sqrt(np.abs(x)).sum()))
+    def eval(self, x: Vector) -> float:
+        return self.lam * float(np.sqrt(np.abs(x)).sum())
 
     def prox(self, gamma: float, v: Vector) -> Vector:
         return prox_lhalf(v, gamma * self.lam)
@@ -185,10 +196,10 @@ class BoxIndicator(NonsmoothTerm):
     def dim(self) -> int:  # type: ignore[override]
         return self.lo.shape[0]
 
-    def eval(self, x: Vector) -> ExtReal:
+    def eval(self, x: Vector) -> float:
         if np.all(x >= self.lo) and np.all(x <= self.hi):
-            return ExtReal(0.0)
-        return ExtReal.POS_INF
+            return 0.0
+        return math.inf
 
     def prox(self, gamma: float, v: Vector) -> Vector:
         if gamma <= 0:
@@ -213,10 +224,10 @@ class SparsitySetIndicator(NonsmoothTerm):
         if not 1 <= self.s <= self.dim:
             raise ValueError("s must satisfy 1 <= s <= dim")
 
-    def eval(self, x: Vector) -> ExtReal:
+    def eval(self, x: Vector) -> float:
         if int(np.count_nonzero(x)) <= self.s:
-            return ExtReal(0.0)
-        return ExtReal.POS_INF
+            return 0.0
+        return math.inf
 
     def prox(self, gamma: float, v: Vector) -> Vector:
         if gamma <= 0:
@@ -238,8 +249,8 @@ class ZeroTerm(NonsmoothTerm):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
 
-    def eval(self, x: Vector) -> ExtReal:
-        return ExtReal(0.0)
+    def eval(self, x: Vector) -> float:
+        return 0.0
 
     def prox(self, gamma: float, v: Vector) -> Vector:
         if gamma <= 0:

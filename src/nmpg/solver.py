@@ -52,9 +52,7 @@ class SolverState:
     psi_x: float
     reference: float
     grad_x: Vector
-    k: int = 0
     gamma_prev: float | None = None
-    max_window: deque | None = None
     # spectral data from the previous accepted step: <dx, dg> and <dg, dg>
     bb_num: float = math.nan
     bb_den: float = math.nan
@@ -168,8 +166,6 @@ def backtrack(
     Raises BacktrackLimitExceeded after `max_backtracks` rejections and
     NumericalFailure on any non-finite intermediate value.
     """
-    alpha_k = 0.5 * (params.alpha_min + params.alpha_max)
-    beta_k = 0.5 * (params.beta_min + params.beta_max)
     gamma = _initial_gamma(state, params)
     x = state.x
     grad_x = state.grad_x
@@ -184,11 +180,13 @@ def backtrack(
         f_next = float(f_eval(x_next))
         if not math.isfinite(f_next):
             raise NumericalFailure("smooth term overflowed at a trial point")
-        phi_next = phi_eval(x_next)
-        if not phi_next.is_finite:
-            raise NumericalFailure("prox returned a point outside dom(phi)")
-        psi_next = f_next + phi_next.value
-        if accept_step(psi_next, reference, alpha_k, gamma, step_norm_sq):
+        phi_next = float(phi_eval(x_next))
+        if not math.isfinite(phi_next):
+            raise NumericalFailure(
+                "phi is non-finite at a trial point (overflow or outside dom(phi))"
+            )
+        psi_next = f_next + phi_next
+        if accept_step(psi_next, reference, params.alpha, gamma, step_norm_sq):
             grad_next = problem.f.grad(x_next)
             if not np.all(np.isfinite(grad_next)):
                 raise NumericalFailure("gradient overflowed at the accepted point")
@@ -202,12 +200,13 @@ def backtrack(
                 step_norm=math.sqrt(step_norm_sq),
                 grad_next=grad_next,
             )
-        if backtracks >= params.max_backtracks:
+        # enough shrinking underflows the stepsize to 0 (1075 halvings from 1)
+        if backtracks >= params.max_backtracks or gamma * params.beta == 0.0:
             raise BacktrackLimitExceeded(
                 f"no acceptable stepsize after {backtracks} backtracks "
                 f"(gamma reached {gamma:.3e})"
             )
-        gamma *= beta_k
+        gamma *= params.beta
         backtracks += 1
 
 
@@ -228,7 +227,7 @@ def solve(
         (except for an exact fixed point, whose residual is exactly zero) and
         the run ends at max_outer_iters.
     x0 : array_like
-        Starting point in dom(phi). Rejected with ValueError otherwise.
+        Finite starting point in dom(phi). Rejected with ValueError otherwise.
     record_iterates : bool
         When True the result carries the full iterate sequence x^0..x^final
         (one entry more than the trace length).
@@ -243,9 +242,15 @@ def solve(
     t_start = time.perf_counter()
     x0 = as_vector(np.array(x0, dtype=np.float64))
     check_dim(x0, problem.dim, "x0")
+    bad = np.flatnonzero(~np.isfinite(x0))
+    if bad.size:
+        raise ValueError(
+            f"x0 has non-finite entries at indices {bad[:10].tolist()}"
+            + (f" and {bad.size - 10} more" if bad.size > 10 else "")
+        )
 
-    phi0 = problem.phi.eval(x0)
-    if not phi0.is_finite:
+    phi0 = float(problem.phi.eval(x0))
+    if not math.isfinite(phi0):
         raise ValueError("x0 lies outside dom(phi)")
 
     trace: list[IterationRecord] = []
@@ -260,20 +265,18 @@ def solve(
             iterates=iterates,
         )
 
-    f0 = float(problem.f.eval(x0))
-    if not math.isfinite(f0):
+    # an overflowing sum would leave an infinite reference that accepts anything
+    psi0 = float(problem.f.eval(x0)) + phi0
+    if not math.isfinite(psi0):
         return result(RunStatus.NUMERICAL_FAILURE, x0)
     grad0 = problem.f.grad(x0)
     if not np.all(np.isfinite(grad0)):
         return result(RunStatus.NUMERICAL_FAILURE, x0)
 
-    psi0 = f0 + phi0.value
     ref_policy = params.reference_policy
     is_max_rule = isinstance(ref_policy, MaxReference)
     window = deque([psi0], maxlen=ref_policy.window) if is_max_rule else None
-    state = SolverState(
-        x=x0, psi_x=psi0, reference=psi0, grad_x=grad0, max_window=window
-    )
+    state = SolverState(x=x0, psi_x=psi0, reference=psi0, grad_x=grad0)
     reference_prev = psi0  # xi at k = 0 is defined as 0 below
 
     for k in range(params.max_outer_iters):
@@ -324,6 +327,5 @@ def solve(
         state.psi_x = out.psi_next
         state.grad_x = out.grad_next
         state.gamma_prev = out.gamma_used
-        state.k = k + 1
 
     return result(RunStatus.MAX_ITERS, state.x)

@@ -49,6 +49,30 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="gamma_mim"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("key", ["alpha_min", "alpha_max", "beta_min", "beta_max"])
+    def test_removed_midpoint_keys_are_unknown(self, key):
+        doc = dict(BASE_CONFIG, params={key: 0.1})
+        with pytest.raises(ConfigError, match=f"unknown key 'params.{key}'"):
+            parse_config(doc)
+
+    def test_every_scalar_param_round_trips(self):
+        from nmpg import SolverParams
+
+        params = {
+            "gamma_min": 1e-9,
+            "gamma_max": 2.0,
+            "alpha": 0.3,
+            "beta": 0.7,
+            "p_min": 0.5,
+            "epsilon": 1e-7,
+            "max_outer_iters": 77,
+            "max_backtracks": 9,
+        }
+        config = parse_config(dict(BASE_CONFIG, params=params))
+        assert config.params == SolverParams(**params)
+        assert isinstance(config.params.max_backtracks, int)
+        assert parse_config(config_to_dict(config)) == config
+
     def test_invalid_bounds_name_field(self):
         doc = dict(BASE_CONFIG, params={"gamma_min": 2.0, "gamma_max": 1.0})
         with pytest.raises(ConfigError, match="gamma_min"):

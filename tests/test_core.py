@@ -1,13 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from nmpg import (
     CompositeProblem,
-    ExtReal,
     GlobalLipschitz,
     L1Term,
     Optimum,
@@ -16,48 +14,6 @@ from nmpg import (
     ZeroTerm,
     psi_eval,
 )
-
-finite_floats = st.floats(
-    min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
-)
-
-
-class TestExtReal:
-    def test_rejects_nonfinite(self):
-        for bad in (math.inf, -math.inf, math.nan):
-            with pytest.raises(ValueError):
-                ExtReal(bad)
-
-    def test_pos_inf_is_absorbing(self):
-        assert (ExtReal(3.0) + ExtReal.POS_INF) is ExtReal.POS_INF
-        assert (ExtReal.POS_INF + 1.5) is ExtReal.POS_INF
-        assert not ExtReal.POS_INF.is_finite
-
-    def test_value_accessor(self):
-        assert ExtReal(2.5).value == 2.5
-        with pytest.raises(ValueError):
-            ExtReal.POS_INF.value
-
-    @given(finite_floats, finite_floats)
-    @settings(deadline=None)
-    def test_ordering_total_on_finites(self, a, b):
-        x, y = ExtReal(a), ExtReal(b)
-        assert (x <= y) or (y <= x)
-        assert (x <= y) == (a <= b)
-        assert x < ExtReal.POS_INF
-        assert ExtReal.POS_INF <= ExtReal.POS_INF
-
-    @given(finite_floats, finite_floats)
-    @settings(deadline=None)
-    def test_addition_matches_floats(self, a, b):
-        assert (ExtReal(a) + ExtReal(b)).value == a + b
-        assert (ExtReal(a) + b).value == a + b
-
-    def test_equality_and_hash(self):
-        assert ExtReal(2.0) == 2.0
-        assert ExtReal(2.0) == ExtReal(2.0)
-        assert hash(ExtReal(2.0)) == hash(2.0)
-        assert ExtReal.POS_INF == ExtReal.POS_INF
 
 
 def _half_sq_norm_model(dim):
@@ -84,7 +40,23 @@ class TestPsiEval:
             phi=BoxIndicator([-1.0, -1.0], [1.0, 1.0]),
             name="box",
         )
-        assert not psi_eval(problem, [2.0, 0.0]).is_finite
+        assert psi_eval(problem, [2.0, 0.0]) == math.inf
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_l1_term_is_pos_inf(self):
+        problem = CompositeProblem(
+            f=_half_sq_norm_model(2), phi=L1Term(2, 1.0), name="demo"
+        )
+        assert psi_eval(problem, [1e308, 1e308]) == math.inf
+
+    def test_nonfinite_smooth_value_at_feasible_point_raises(self):
+        problem = CompositeProblem(
+            f=SmoothModel(1, lambda x: math.inf, lambda x: x.copy()),
+            phi=ZeroTerm(1),
+            name="overflow",
+        )
+        with pytest.raises(ValueError, match="smooth term"):
+            psi_eval(problem, [0.0])
 
     def test_zero_case(self):
         problem = CompositeProblem(
@@ -137,10 +109,10 @@ class TestSolverParams:
         [
             (dict(gamma_min=2.0, gamma_max=1.0), "gamma_min"),
             (dict(gamma_min=0.0), "gamma_min"),
-            (dict(alpha_min=0.0), "alpha_min"),
-            (dict(alpha_max=1.0), "alpha_max"),
-            (dict(alpha_min=0.5, alpha_max=0.2), "alpha_min"),
-            (dict(beta_min=1.0, beta_max=1.0), "beta_min"),
+            (dict(alpha=0.0), "alpha"),
+            (dict(alpha=1.0), "alpha"),
+            (dict(beta=0.0), "beta"),
+            (dict(beta=1.0), "beta"),
             (dict(p_min=0.0), "p_min"),
             (dict(p_min=1.5), "p_min"),
             (dict(epsilon=-1.0), "epsilon"),
@@ -151,6 +123,20 @@ class TestSolverParams:
     def test_invalid_rejected_naming_field(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             SolverParams(**kwargs)
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(SolverParams)] == [
+            "gamma_min",
+            "gamma_max",
+            "alpha",
+            "beta",
+            "p_min",
+            "epsilon",
+            "max_outer_iters",
+            "max_backtracks",
+            "gamma_init_policy",
+            "reference_policy",
+        ]
 
     def test_zero_backtracks_allowed(self):
         assert SolverParams(max_backtracks=0).max_backtracks == 0

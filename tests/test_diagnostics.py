@@ -11,6 +11,7 @@ from nmpg import (
     make_quartic_scalar,
     solve,
 )
+from nmpg.cli import SeededStart, make_x0
 from nmpg.diagnostics import (
     NegativeGap,
     NonpositiveTail,
@@ -133,7 +134,7 @@ class TestXiSeries:
     def test_run_satisfies_step_bound(self, lasso_run):
         result, params = lasso_run
         xis = xi_series(result.trace)
-        a = (1.0 - params.alpha_max) / (2.0 * params.gamma_max)
+        a = (1.0 - params.alpha) / (2.0 * params.gamma_max)
         for k in range(1, len(result.trace)):
             lhs = math.sqrt(a * params.p_min) * result.trace[k - 1].step_norm
             assert lhs <= xis[k - 1] + 1e-10
@@ -196,6 +197,16 @@ class TestAuditTrace:
         trace[0] = dataclasses.replace(trace[0], step_norm=1e6)
         report = audit_trace(trace, params)
         assert not report.check("reference_drop_per_step").passed
+        assert not report.check("step_bounded_by_xi").passed
+
+    def test_reference_drop_lost_to_rounding_passes(self):
+        # the last reference drops are below float resolution, so xi is 0
+        # while the step is about 1e-9
+        problem = build_problem(ProblemSpec(kind="lasso_general", dim=10, seed=1))
+        params = SolverParams(p_min=1.0)
+        result = solve(problem, params, make_x0(problem, SeededStart(7), 1))
+        report = audit_trace(result.trace, params)
+        assert report.passed, [c.to_dict() for c in report.checks if not c.passed]
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):

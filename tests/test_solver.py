@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -11,6 +13,7 @@ from nmpg import (
     ConstantGamma,
     GlobalLipschitz,
     L1Term,
+    LHalfTerm,
     MaxReference,
     PreviousAccepted,
     RunStatus,
@@ -30,8 +33,25 @@ from nmpg import (
     subproblem_step,
     update_reference,
 )
-from nmpg.problems import ProblemSpec
+from nmpg.problems import PROBLEM_KINDS, ProblemSpec
 from nmpg.solver import SolverState
+
+
+def overflowing_l1_problem():
+    # The gradient at 0 is -5e307 per coordinate, so a step of 2 lands near
+    # 1e308 per coordinate: f stays finite there but lam * ||x||_1 overflows.
+    return CompositeProblem(
+        f=SmoothModel(
+            2,
+            lambda x: -5e307 * float(np.tanh(x).sum()),
+            lambda x: -5e307 / np.cosh(x) ** 2,
+        ),
+        phi=L1Term(2, 1.0),
+        name="overflowing_l1",
+    )
+
+
+BIG_STEPS = SolverParams(gamma_max=2.0, gamma_init_policy=ConstantGamma(2.0))
 
 
 def quadratic_problem(dim=1):
@@ -143,16 +163,14 @@ class TestResidual:
 
 def _state(problem, x, params):
     x = np.asarray(x, dtype=float)
-    psi = float(problem.f.eval(x)) + problem.phi.eval(x).value
+    psi = float(problem.f.eval(x)) + problem.phi.eval(x)
     return SolverState(x=x, psi_x=psi, reference=psi, grad_x=problem.f.grad(x))
 
 
 class TestBacktrack:
     def test_single_acceptance_hand_computed(self):
         problem = quadratic_problem(1)
-        params = SolverParams(
-            alpha_min=0.5, alpha_max=0.5, gamma_init_policy=ConstantGamma(1.0)
-        )
+        params = SolverParams(alpha=0.5, gamma_init_policy=ConstantGamma(1.0))
         out = backtrack(problem, _state(problem, [1.0], params), params)
         # gamma = 1 maps x = 1 to 0: psi_next 0 <= 0.5 - 0.25 * 1
         assert out.backtracks == 0
@@ -222,6 +240,49 @@ class TestSolve:
         # start far out so exp overflows when evaluating the smooth part
         result = solve(problem, SolverParams(), np.array([800.0]))
         assert result.status is RunStatus.NUMERICAL_FAILURE
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_phi_at_trial_point_reports_numerical_failure(self):
+        result = solve(overflowing_l1_problem(), BIG_STEPS, np.zeros(2))
+        assert result.status is RunStatus.NUMERICAL_FAILURE
+        assert result.iterations == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_start_rejected_naming_it(self, bad):
+        message = r"x0 has non-finite entries at indices \[0\]"
+        with pytest.raises(ValueError, match=message):
+            solve(overflowing_l1_problem(), BIG_STEPS, [bad, 0.0])
+
+    def test_overflowing_start_objective_reports_numerical_failure(self):
+        # f and phi are finite at x0 but their sum is not
+        problem = CompositeProblem(
+            f=SmoothModel(1, lambda x: 1e308, lambda x: np.zeros(1)),
+            phi=L1Term(1, 1e308),
+            name="psi0_overflow",
+        )
+        result = solve(problem, SolverParams(), np.ones(1))
+        assert result.status is RunStatus.NUMERICAL_FAILURE
+
+    def test_stepsize_underflow_reports_backtrack_cap(self):
+        # a gradient of the wrong sign makes every trial step go uphill
+        problem = CompositeProblem(
+            f=SmoothModel(
+                1, lambda x: 0.5 * float(x @ x) + 10.0 * x[0], lambda x: -(x + 10.0)
+            ),
+            phi=ZeroTerm(1),
+            name="wrong_gradient",
+        )
+        result = solve(problem, SolverParams(max_backtracks=5000), np.zeros(1))
+        assert result.status is RunStatus.BACKTRACK_CAP_EXCEEDED
+
+    def test_lhalf_solve_from_large_start_returns(self):
+        # the half step puts prox inputs near -5e5, where adjacent floats lie
+        # further apart than the 1e-12 bisection tolerance
+        base = make_lasso_identity(np.array([2.0, 0.5]), 1.0)
+        problem = CompositeProblem(f=base.f, phi=LHalfTerm(2, 0.5), name="lhalf")
+        params = SolverParams(gamma_init_policy=ConstantGamma(0.5))
+        result = solve(problem, params, np.array([1e4, -1e6]))
+        assert result.status is RunStatus.CONVERGED_RESIDUAL
 
     def test_record_iterates_length(self):
         problem = make_quartic_scalar()
@@ -302,8 +363,7 @@ class TestSolve:
             name="fuzz_quadratic",
         )
         params = SolverParams(
-            alpha_min=alpha, alpha_max=alpha, beta_min=beta, beta_max=beta,
-            p_min=p_min, epsilon=1e-5, max_outer_iters=2000,
+            alpha=alpha, beta=beta, p_min=p_min, epsilon=1e-5, max_outer_iters=2000
         )
         result = solve(problem, params, rng.standard_normal(4))
         assert result.status in (RunStatus.CONVERGED_RESIDUAL, RunStatus.MAX_ITERS)
@@ -322,3 +382,45 @@ class TestSolve:
         assert result.status is RunStatus.CONVERGED_RESIDUAL
         # trial stepsizes are clipped into the box before any backtracking
         assert all(r.gamma_accepted <= params.gamma_max for r in result.trace)
+
+
+@functools.cache
+def hostile_problem(kind):
+    if kind == "overflowing_l1":
+        return overflowing_l1_problem()
+    return build_problem(ProblemSpec(kind=kind, dim=4, seed=0))
+
+
+HOSTILE_ENTRIES = [0.0, 0.5, -1.0, math.nan, math.inf, -math.inf, 1e300, -1e300]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(
+    kind=st.sampled_from(PROBLEM_KINDS + ("overflowing_l1",)),
+    entries=st.lists(st.sampled_from(HOSTILE_ENTRIES), min_size=4, max_size=4),
+    max_backtracks=st.sampled_from([0, 100]),
+    big_steps=st.booleans(),
+)
+@settings(deadline=None, max_examples=200)
+def test_hostile_inputs_give_a_status_or_reject_the_start(
+    kind, entries, max_backtracks, big_steps
+):
+    """solve returns a RunStatus, or raises ValueError for an invalid start;
+    it never leaks any other exception."""
+    problem = hostile_problem(kind)
+    x0 = np.array(entries[: problem.dim])
+    params = dataclasses.replace(
+        BIG_STEPS if big_steps else SolverParams(),
+        max_backtracks=max_backtracks,
+        max_outer_iters=300,
+    )
+    invalid_start = not np.all(np.isfinite(x0)) or not math.isfinite(
+        problem.phi.eval(x0)
+    )
+    try:
+        result = solve(problem, params, x0)
+    except ValueError:
+        assert invalid_start
+    else:
+        assert not invalid_start
+        assert isinstance(result.status, RunStatus)
