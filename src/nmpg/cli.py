@@ -380,6 +380,7 @@ def _run_summary(
     return {
         "trace_file": trace_file,
         "status": result.status.value,
+        "detail": result.detail,
         "iterations": result.iterations,
         "final_residual": result.trace[-1].residual if result.trace else None,
         "total_backtracks": sum(r.backtracks for r in result.trace),
@@ -425,7 +426,10 @@ def cmd_run(config_path, out_dir=None) -> int:
     failed = {RunStatus.BACKTRACK_CAP_EXCEEDED.value, RunStatus.NUMERICAL_FAILURE.value}
     for run in runs:
         if run["status"] in failed:
-            print(f"run failed: {run['trace_file']} -> {run['status']}", file=sys.stderr)
+            print(
+                f"run failed: {run['trace_file']} -> {run['status']}: {run['detail']}",
+                file=sys.stderr,
+            )
             return 2
     for run in runs:
         print(
@@ -496,7 +500,7 @@ def cmd_compare(config_path, out_dir=None) -> int:
         print(
             f"{row['policy']:<10} {row['status']:<22} {row['iterations']:>7} "
             f"{row['total_backtracks']:>10} "
-            f"{resid if resid is None else format(resid, '.3e'):>12} "
+            f"{'-' if resid is None else format(resid, '.3e'):>12} "
             f"{row['wall_time']:>8.3f}"
         )
 

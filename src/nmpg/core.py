@@ -62,7 +62,9 @@ class SmoothModel:
     """Differentiable part of the objective: paired value/gradient evaluators.
 
     Both callables are expected to be pure (same input, bitwise-same output)
-    and defined on all of R^dim.
+    and defined on all of R^dim. A factory may memoize an intermediate the two
+    share, keyed on the bytes of x; they stay pure, since the memoized value is
+    the one a fresh computation at those bytes would give.
     """
 
     dim: int
@@ -298,13 +300,17 @@ Trace = list[IterationRecord]
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    """Outcome of one solve call, with the full iteration ledger attached."""
+    """Outcome of one solve call, with the full iteration ledger attached.
+
+    `detail` says why a failure status was reported; it is empty otherwise.
+    """
 
     status: RunStatus
     x_final: Vector
     trace: Trace
     wall_time: float
     iterates: list[Vector] | None = None
+    detail: str = ""
 
     @property
     def iterations(self) -> int:

@@ -36,6 +36,33 @@ from .prox import (
 from .solver import solve
 
 
+def _last_point_memo(compute):
+    """One-entry memo of `compute(x)`, shared by a factory's f_eval and f_grad.
+
+    The solver asks for the gradient at the point whose value it just
+    accepted, so the intermediate both need (a residual, an exponential) is
+    computed once per point. The key is the bytes of x: a caller that changes
+    x in place, or passes -0.0 for 0.0, misses and recomputes. The (key,
+    value) pair is replaced in one assignment, so threads sharing a problem
+    never read a value stored under another point's key; a race only costs a
+    recomputation. The value is read-only, so no caller can alter the memo.
+    """
+    last = (None, None)
+
+    def at(x):
+        nonlocal last
+        x = np.asarray(x, dtype=np.float64)
+        key = x.tobytes()
+        hit_key, value = last
+        if key != hit_key:
+            value = compute(x)
+            value.setflags(write=False)
+            last = (key, value)
+        return value
+
+    return at
+
+
 def make_lasso_identity(b, lam: float, name: str | None = None) -> CompositeProblem:
     """f(x) = 0.5 ||x - b||^2 with an l1 penalty; optimum in closed form."""
     b = frozen_array(as_vector(b))
@@ -77,12 +104,14 @@ def make_lasso_general(a, b, lam: float, name: str | None = None) -> CompositePr
     dim = a.shape[1]
     lip = float(np.linalg.norm(a, 2) ** 2)
 
+    residual = _last_point_memo(lambda x: a @ x - b)
+
     def f_eval(x):
-        r = a @ x - b
+        r = residual(x)
         return 0.5 * float(r @ r)
 
     def f_grad(x):
-        return a.T @ (a @ x - b)
+        return a.T @ residual(x)
 
     return CompositeProblem(
         f=SmoothModel(dim, f_eval, f_grad, GlobalLipschitz(lip)),
@@ -127,13 +156,13 @@ def make_quartic_regression_l0(
         raise ValueError("A and b have incompatible shapes")
     dim = a.shape[1]
 
+    residual = _last_point_memo(lambda x: a @ x - b)
+
     def f_eval(x):
-        r = a @ x - b
-        return 0.25 * float(np.sum(r**4))
+        return 0.25 * float(np.sum(residual(x) ** 4))
 
     def f_grad(x):
-        r = a @ x - b
-        return a.T @ (r**3)
+        return a.T @ (residual(x) ** 3)
 
     return CompositeProblem(
         f=SmoothModel(dim, f_eval, f_grad, LOCAL_LIPSCHITZ),
@@ -155,12 +184,14 @@ def make_sparsity_projected_quadratic(
     dim = a.shape[1]
     lip = float(np.linalg.norm(a, 2) ** 2)
 
+    residual = _last_point_memo(lambda x: a @ x - b)
+
     def f_eval(x):
-        r = a @ x - b
+        r = residual(x)
         return 0.5 * float(r @ r)
 
     def f_grad(x):
-        return a.T @ (a @ x - b)
+        return a.T @ residual(x)
 
     return CompositeProblem(
         f=SmoothModel(dim, f_eval, f_grad, GlobalLipschitz(lip)),
@@ -184,14 +215,19 @@ def make_exp_fit_l1(a, b, lam: float, name: str | None = None) -> CompositeProbl
         raise ValueError("A and b have incompatible shapes")
     dim = a.shape[1]
 
+    @_last_point_memo
+    def exp_ax(x):
+        with np.errstate(over="ignore"):
+            return np.exp(a @ x)
+
     def f_eval(x):
         with np.errstate(over="ignore"):
-            r = np.exp(a @ x) - b
+            r = exp_ax(x) - b
             return float(r @ r)
 
     def f_grad(x):
         with np.errstate(over="ignore", invalid="ignore"):
-            e = np.exp(a @ x)
+            e = exp_ax(x)
             return a.T @ (2.0 * (e - b) * e)
 
     return CompositeProblem(

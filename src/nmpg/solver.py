@@ -237,7 +237,7 @@ def solve(
     RunResult
         Final point, status, and one IterationRecord per outer iteration.
         Backtrack-cap and numerical failures are reported as statuses with
-        the partial trace attached, not raised.
+        the partial trace and the reason (`detail`) attached, not raised.
     """
     t_start = time.perf_counter()
     x0 = as_vector(np.array(x0, dtype=np.float64))
@@ -256,22 +256,29 @@ def solve(
     trace: list[IterationRecord] = []
     iterates: list[Vector] | None = [x0.copy()] if record_iterates else None
 
-    def result(status: RunStatus, x_final: Vector) -> RunResult:
+    def result(status: RunStatus, x_final: Vector, detail: str = "") -> RunResult:
         return RunResult(
             status=status,
             x_final=x_final,
             trace=trace,
             wall_time=time.perf_counter() - t_start,
             iterates=iterates,
+            detail=detail,
         )
 
     # an overflowing sum would leave an infinite reference that accepts anything
     psi0 = float(problem.f.eval(x0)) + phi0
     if not math.isfinite(psi0):
-        return result(RunStatus.NUMERICAL_FAILURE, x0)
+        return result(
+            RunStatus.NUMERICAL_FAILURE,
+            x0,
+            f"the start objective f(x0) + phi(x0) is non-finite ({psi0!r})",
+        )
     grad0 = problem.f.grad(x0)
     if not np.all(np.isfinite(grad0)):
-        return result(RunStatus.NUMERICAL_FAILURE, x0)
+        return result(
+            RunStatus.NUMERICAL_FAILURE, x0, "the gradient at x0 has non-finite entries"
+        )
 
     ref_policy = params.reference_policy
     is_max_rule = isinstance(ref_policy, MaxReference)
@@ -282,10 +289,10 @@ def solve(
     for k in range(params.max_outer_iters):
         try:
             out = backtrack(problem, state, params)
-        except BacktrackLimitExceeded:
-            return result(RunStatus.BACKTRACK_CAP_EXCEEDED, state.x)
-        except NumericalFailure:
-            return result(RunStatus.NUMERICAL_FAILURE, state.x)
+        except BacktrackLimitExceeded as exc:
+            return result(RunStatus.BACKTRACK_CAP_EXCEEDED, state.x, str(exc))
+        except NumericalFailure as exc:
+            return result(RunStatus.NUMERICAL_FAILURE, state.x, str(exc))
 
         xi = 0.0 if k == 0 else math.sqrt(max(reference_prev - state.reference, 0.0))
         trace.append(

@@ -136,6 +136,7 @@ class TestCmdRun:
         assert summary["runs"][0]["status"] == "converged_residual"
         assert summary["runs"][0]["trace_file"] == "trace_000.csv"
         assert summary["runs"][0]["audit"]["pass"]
+        assert summary["runs"][0]["detail"] == ""
 
     def test_summary_rate_fit_uses_numerical_optimum(self, tmp_path):
         # no closed-form optimum on this kind; the harness solves for one
@@ -177,7 +178,12 @@ class TestCmdRun:
         )
         code = cmd_run(write_config(tmp_path, config))
         assert code == 2
-        assert "backtrack_cap_exceeded" in capsys.readouterr().err
+        assert (
+            "-> backtrack_cap_exceeded: no acceptable stepsize after 0 backtracks"
+            in capsys.readouterr().err
+        )
+        runs = json.loads((tmp_path / "out" / "summary.json").read_text())["runs"]
+        assert runs[0]["detail"].startswith("no acceptable stepsize after 0 backtracks")
 
     def test_bitwise_identical_reruns(self, tmp_path):
         config = dict(
@@ -223,6 +229,21 @@ class TestCmdCompare:
         rows = json.loads((tmp_path / "c" / "compare_summary.json").read_text())["rows"]
         assert [r["policy"] for r in rows] == ["monotone", "mean_rule", "max_rule"]
         assert all(r["status"] == "converged_residual" for r in rows)
+        assert all(r["detail"] == "" for r in rows)
+
+    def test_failure_detail_in_rows(self, tmp_path):
+        config = dict(
+            BASE_CONFIG,
+            problem={"kind": "lasso_general", "dim": 10, "seed": 0, "lambda": 0.1},
+            params={"max_backtracks": 0},
+        )
+        code = cmd_compare(write_config(tmp_path, config), out_dir=str(tmp_path / "c"))
+        assert code == 2
+        rows = json.loads((tmp_path / "c" / "compare_summary.json").read_text())["rows"]
+        assert all(
+            r["detail"].startswith("no acceptable stepsize after 0 backtracks")
+            for r in rows
+        )
 
     def test_p_min_one_collapses_to_monotone(self, tmp_path):
         config = dict(
@@ -298,18 +319,26 @@ class TestParallelism:
         assert _n_jobs(8) >= 1
 
     def test_parallel_repeats_stay_deterministic(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NMPG_JOBS", "4")
-        config = dict(
-            BASE_CONFIG,
-            problem={"kind": "lasso_general", "dim": 8, "seed": 0, "lambda": 0.1},
-            x0={"policy": "seeded", "seed": 100},
-            repeats=4,
-        )
-        path = write_config(tmp_path, config)
-        assert cmd_run(path, out_dir=str(tmp_path / "p1")) == 0
-        assert cmd_run(path, out_dir=str(tmp_path / "p2")) == 0
-        for i in range(4):
-            name = f"trace_{i:03d}.csv"
-            assert (tmp_path / "p1" / name).read_bytes() == (
-                tmp_path / "p2" / name
-            ).read_bytes()
+        # the repeats share one problem, and with it its evaluation memo
+        kinds = [
+            "lasso_general",
+            "quartic_regression_l0",
+            "sparsity_projected_quadratic",
+            "exp_fit_l1",
+        ]
+        for kind in kinds:
+            config = dict(
+                BASE_CONFIG,
+                problem={"kind": kind, "dim": 8, "seed": 0},
+                x0={"policy": "seeded", "seed": 100},
+                repeats=4,
+            )
+            path = write_config(tmp_path, config, name=f"{kind}.json")
+            for jobs in ("4", "1"):
+                monkeypatch.setenv("NMPG_JOBS", jobs)
+                assert cmd_run(path, out_dir=str(tmp_path / kind / jobs)) == 0
+            for i in range(4):
+                name = f"trace_{i:03d}.csv"
+                assert (tmp_path / kind / "4" / name).read_bytes() == (
+                    tmp_path / kind / "1" / name
+                ).read_bytes()

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from nmpg import (
     solve,
 )
 from nmpg.diagnostics import max_gradient_error
+from nmpg.problems import _last_point_memo
 
 ALL_KINDS = [
     "lasso_identity",
@@ -176,3 +180,109 @@ def test_spec_validation():
         ProblemSpec(kind="lasso_identity", dim=0)
     with pytest.raises(ValueError):
         ProblemSpec(kind="lasso_identity", lam=-1.0)
+
+
+MATRIX_KINDS = [
+    "lasso_general",
+    "quartic_regression_l0",
+    "sparsity_projected_quadratic",
+    "exp_fit_l1",
+]
+
+
+def fresh(kind):
+    return build_problem(ProblemSpec(kind=kind, dim=6, seed=4))
+
+
+def fresh_grad_bytes(kind, x):
+    """f.grad(x) on a problem that has evaluated nothing before."""
+    return fresh(kind).f.grad(np.array(x)).tobytes()
+
+
+@pytest.mark.parametrize("kind", MATRIX_KINDS)
+class TestEvaluationMemo:
+    """f.eval and f.grad share a memo; no sequence of calls may read it stale."""
+
+    def test_grad_after_eval_at_the_same_point(self, kind):
+        problem = fresh(kind)
+        x = np.random.default_rng(0).uniform(-0.5, 0.5, 6)
+        assert problem.f.eval(x) == fresh(kind).f.eval(x)
+        assert problem.f.grad(x).tobytes() == fresh_grad_bytes(kind, x)
+
+    def test_in_place_change_between_eval_and_grad(self, kind):
+        problem = fresh(kind)
+        x = np.random.default_rng(1).uniform(-0.5, 0.5, 6)
+        problem.f.eval(x)
+        x[2] += 0.25
+        assert problem.f.grad(x).tobytes() == fresh_grad_bytes(kind, x)
+
+    def test_grad_at_an_earlier_point(self, kind):
+        problem = fresh(kind)
+        rng = np.random.default_rng(2)
+        x1, x2 = rng.uniform(-0.5, 0.5, 6), rng.uniform(-0.5, 0.5, 6)
+        problem.f.eval(x1)
+        problem.f.eval(x2)
+        assert problem.f.grad(x1).tobytes() == fresh_grad_bytes(kind, x1)
+
+    def test_negative_zero_entries(self, kind):
+        problem = fresh(kind)
+        x = np.array([0.0, 0.3, 0.0, -0.2, 0.0, 0.1])
+        x_neg = x.copy()
+        x_neg[[0, 2, 4]] = -0.0
+        problem.f.eval(x)
+        assert problem.f.grad(x_neg).tobytes() == fresh_grad_bytes(kind, x_neg)
+        problem.f.eval(x_neg)
+        assert problem.f.grad(x).tobytes() == fresh_grad_bytes(kind, x)
+
+    def test_threads_sharing_a_problem_read_their_own_points(self, kind):
+        # Each thread alternates eval and grad at its own point; a memo that
+        # handed one thread another thread's intermediate would change a grad.
+        problem = fresh(kind)
+        points = [np.full(6, 0.05 * (i + 1)) for i in range(6)]
+        expected = [fresh_grad_bytes(kind, x) for x in points]
+        wrong = []
+        start = threading.Barrier(len(points))
+
+        def work(i):
+            start.wait(timeout=30)
+            for _ in range(1000):
+                problem.f.eval(points[i])
+                if problem.f.grad(points[i]).tobytes() != expected[i]:
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+
+def test_memo_never_pairs_a_key_with_another_points_value():
+    # Thread A stalls inside compute while the main thread stores its own
+    # point; whatever A stores when it resumes, the main thread's point must
+    # still map to its own value.
+    stalled, release = threading.Event(), threading.Event()
+
+    def compute(x):
+        if x[0] == 1.0:
+            stalled.set()
+            release.wait(timeout=30)
+        return 10.0 * x
+
+    at = _last_point_memo(compute)
+    a = threading.Thread(target=at, args=(np.array([1.0]),))
+    a.start()
+    assert stalled.wait(timeout=30)
+    assert at(np.array([2.0]))[0] == 20.0
+    release.set()
+    a.join(timeout=30)
+    assert not a.is_alive()
+    assert at(np.array([2.0]))[0] == 20.0
+    assert at(np.array([1.0]))[0] == 10.0

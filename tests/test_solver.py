@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nmpg import (
     BacktrackLimitExceeded,
+    BoxIndicator,
     CompositeProblem,
     ConstantGamma,
     GlobalLipschitz,
@@ -233,6 +234,7 @@ class TestSolve:
         params = SolverParams(max_backtracks=0)
         result = solve(problem, params, np.zeros(10))
         assert result.status is RunStatus.BACKTRACK_CAP_EXCEEDED
+        assert result.detail.startswith("no acceptable stepsize after 0 backtracks")
 
     def test_overflow_reports_numerical_failure(self):
         a = np.full((1, 1), 1.0)
@@ -240,12 +242,24 @@ class TestSolve:
         # start far out so exp overflows when evaluating the smooth part
         result = solve(problem, SolverParams(), np.array([800.0]))
         assert result.status is RunStatus.NUMERICAL_FAILURE
+        assert "start objective f(x0) + phi(x0)" in result.detail
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_phi_at_trial_point_reports_numerical_failure(self):
         result = solve(overflowing_l1_problem(), BIG_STEPS, np.zeros(2))
         assert result.status is RunStatus.NUMERICAL_FAILURE
         assert result.iterations == 0
+        assert "phi is non-finite at a trial point" in result.detail
+
+    def test_nonfinite_start_gradient_reports_numerical_failure(self):
+        problem = CompositeProblem(
+            f=SmoothModel(1, lambda x: 0.0, lambda x: np.full(1, math.inf)),
+            phi=ZeroTerm(1),
+            name="inf_gradient",
+        )
+        result = solve(problem, SolverParams(), np.zeros(1))
+        assert result.status is RunStatus.NUMERICAL_FAILURE
+        assert result.detail == "the gradient at x0 has non-finite entries"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_start_rejected_naming_it(self, bad):
@@ -384,11 +398,60 @@ class TestSolve:
         assert all(r.gamma_accepted <= params.gamma_max for r in result.trace)
 
 
+def steep_gradient_problem():
+    # f = |x|^2/2 + 1e157 sum tanh(1000 x): the gradient is about x far from
+    # 0 and 1e160 at 0. From x0 = 0.5 the first step lands on 0, so the
+    # gradient difference of that step overflows in dg @ dg.
+    def f_eval(x):
+        return 0.5 * float(x @ x) + 1e157 * float(np.tanh(1e3 * x).sum())
+
+    def f_grad(x):
+        return x + 1e160 / np.cosh(1e3 * x) ** 2
+
+    return CompositeProblem(
+        f=SmoothModel(4, f_eval, f_grad), phi=ZeroTerm(4), name="steep_gradient"
+    )
+
+
+SLOPE = np.array([1.0, -2.0, 0.5, 0.5])
+
+# Smooth parts that make the Barzilai-Borwein quotient degenerate: a linear f
+# (dg = 0, so bb_den = 0), a concave f (bb_num < 0), and steep_gradient
+# (bb_den overflows).
+DEGENERATE_CURVATURE = {
+    "linear": lambda: CompositeProblem(
+        f=SmoothModel(4, lambda x: float(SLOPE @ x), lambda x: SLOPE.copy()),
+        phi=L1Term(4, 3.0),
+        name="linear",
+    ),
+    "concave_quadratic": lambda: CompositeProblem(
+        f=SmoothModel(4, lambda x: -0.5 * float(x @ x), lambda x: -x),
+        phi=BoxIndicator(-np.ones(4), np.ones(4)),
+        name="concave_quadratic",
+    ),
+    "steep_gradient": steep_gradient_problem,
+}
+
+
 @functools.cache
 def hostile_problem(kind):
     if kind == "overflowing_l1":
         return overflowing_l1_problem()
+    if kind in DEGENERATE_CURVATURE:
+        return DEGENERATE_CURVATURE[kind]()
     return build_problem(ProblemSpec(kind=kind, dim=4, seed=0))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_steep_gradient_overflows_the_bb_denominator():
+    problem = steep_gradient_problem()
+    x0 = np.full(4, 0.5)
+    result = solve(problem, SolverParams(max_outer_iters=1), x0, record_iterates=True)
+    x1 = result.iterates[1]
+    assert np.array_equal(x1, np.zeros(4))
+    dg = problem.f.grad(x1) - problem.f.grad(x0)
+    assert np.all(np.isfinite(dg)) and float(dg @ dg) == math.inf
+    assert isinstance(solve(problem, SolverParams(), x0).status, RunStatus)
 
 
 HOSTILE_ENTRIES = [0.0, 0.5, -1.0, math.nan, math.inf, -math.inf, 1e300, -1e300]
@@ -396,7 +459,9 @@ HOSTILE_ENTRIES = [0.0, 0.5, -1.0, math.nan, math.inf, -math.inf, 1e300, -1e300]
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @given(
-    kind=st.sampled_from(PROBLEM_KINDS + ("overflowing_l1",)),
+    kind=st.sampled_from(
+        PROBLEM_KINDS + ("overflowing_l1",) + tuple(DEGENERATE_CURVATURE)
+    ),
     entries=st.lists(st.sampled_from(HOSTILE_ENTRIES), min_size=4, max_size=4),
     max_backtracks=st.sampled_from([0, 100]),
     big_steps=st.booleans(),
