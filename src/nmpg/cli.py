@@ -505,9 +505,13 @@ def cmd_compare(config_path, out_dir=None) -> int:
         )
 
     failed = {RunStatus.BACKTRACK_CAP_EXCEEDED.value, RunStatus.NUMERICAL_FAILURE.value}
-    if any(row["status"] in failed for row in rows):
-        return 2
-    return 0
+    failures = [row for row in rows if row["status"] in failed]
+    for row in failures:
+        print(
+            f"compare failed: {row['policy']} -> {row['status']}: {row['detail']}",
+            file=sys.stderr,
+        )
+    return 2 if failures else 0
 
 
 # -- property-check suite --------------------------------------------------------

@@ -264,8 +264,8 @@ class ProblemSpec:
             raise ValueError(f"unknown problem kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        if self.lam is not None and self.lam <= 0:
-            raise ValueError("lambda must be positive")
+        if self.lam is not None and not (self.lam > 0 and math.isfinite(self.lam)):
+            raise ValueError("lambda must be a positive finite real")
         if self.s is not None and self.s < 1:
             raise ValueError("s must be a positive integer")
 

@@ -1,4 +1,4 @@
-"""Concrete nonsmooth terms with closed-form or safeguarded-1D prox kernels."""
+"""Concrete nonsmooth terms and their closed-form prox kernels."""
 
 from __future__ import annotations
 
@@ -10,71 +10,55 @@ import numpy as np
 from .core import NonsmoothTerm, Vector, as_vector, frozen_array
 
 
+def _check_tau(tau: float) -> None:
+    # +inf is allowed: gamma * lam overflows there for finite gamma and lam,
+    # and each kernel then returns the limit of its prox, zero for finite v.
+    if not tau > 0:
+        raise ValueError(f"tau must be a positive real or +inf, got {tau!r}")
+
+
+def _check_lam(lam: float) -> None:
+    if not (lam > 0 and math.isfinite(lam)):
+        raise ValueError(f"lam must be a positive finite real, got {lam!r}")
+
+
 def prox_l1(v: Vector, tau: float) -> Vector:
     """Soft threshold: componentwise argmin of tau*|t| + (t - v_i)^2 / 2."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _check_tau(tau)
     v = as_vector(v)
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
 def prox_l0(v: Vector, tau: float) -> Vector:
     """Hard threshold: keep v_i iff |v_i| > sqrt(2 tau), ties map to 0."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _check_tau(tau)
     v = as_vector(v)
     return np.where(np.abs(v) > math.sqrt(2.0 * tau), v, 0.0)
 
 
-def _lhalf_scalar(v: float, tau: float, t_lo: float) -> float:
-    # Minimize m(t) = tau*sqrt(|t|) + (t - v)^2 / 2. The minimizer shares the
-    # sign of v, so reduce to av = |v| and compare the candidate t = 0 against
-    # the local minimum of m on (0, av), which is the larger root of
-    # m'(t) = tau/(2 sqrt(t)) + t - av. m' is increasing for
-    # t >= t_lo = (tau/4)^(2/3), giving a bisection bracket [t_lo, av].
-    if v == 0.0:
-        return 0.0
-    sign = 1.0 if v > 0.0 else -1.0
-    av = abs(v)
-    if t_lo >= av:
-        return 0.0
-
-    def slope(t: float) -> float:
-        return tau / (2.0 * math.sqrt(t)) + t - av
-
-    if slope(t_lo) > 0.0:
-        return 0.0
-    # Bisect to width 1e-12; from 2**13 on, adjacent floats lie further apart
-    # than that, so bisect to the float spacing of av instead. From 2**511 on,
-    # the objectives below would overflow, and the root rounds to av unless
-    # tau > 2**713, so v passes through, as do inf and nan (the caller's
-    # finiteness check reports those).
-    if av < 8192.0:
-        tol = 1e-12
-    elif av < 2.0**511:
-        tol = math.ulp(av)
-    else:
-        return v
-    lo, hi = t_lo, av
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if slope(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    t_star = 0.5 * (lo + hi)
-    obj_star = tau * math.sqrt(t_star) + 0.5 * (t_star - av) ** 2
-    obj_zero = 0.5 * av * av
-    return sign * t_star if obj_star < obj_zero else 0.0
-
-
 def prox_lhalf(v: Vector, tau: float) -> Vector:
     """Componentwise argmin of tau*sqrt(|t|) + (t - v_i)^2 / 2, ties to 0."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _check_tau(tau)
     v = as_vector(v)
-    t_lo = (tau / 4.0) ** (2.0 / 3.0)
-    return np.array([_lhalf_scalar(float(vi), tau, t_lo) for vi in v])
+    # The minimizer shares the sign of v, so reduce to a = |v| and compare the
+    # candidate t = 0 against the local minimum of the objective on (0, a).
+    # With s = sqrt(t), its stationary points solve s^3 - a s + tau/2 = 0,
+    # which has three real roots iff a > 3 t_lo, t_lo = (tau/4)^(2/3); the
+    # local minimum is the largest root, in trigonometric form (Xu, Chang, Xu,
+    # Zhang, IEEE TNNLS 2012). From 2**511 on, a*a would overflow, and the
+    # root rounds to a unless tau > 2**713, so v passes through, as do inf and
+    # nan (the caller's finiteness check reports those).
+    a = np.abs(v)
+    three_roots = a > 3.0 * (tau / 4.0) ** (2.0 / 3.0)
+    z = np.where(np.isnan(v) | (three_roots & (a >= 2.0**511)), v, 0.0)
+    idx = np.flatnonzero(three_roots & (a < 2.0**511))
+    av = a[idx]
+    c = np.clip(-(0.75 * tau / av) * np.sqrt(3.0 / av), -1.0, 1.0)
+    t = (2.0 / 3.0) * av * (1.0 + np.cos((2.0 / 3.0) * np.arccos(c)))
+    t = np.minimum(t, av)
+    keep = tau * np.sqrt(t) + 0.5 * (t - av) ** 2 < 0.5 * av * av
+    z[idx[keep]] = np.copysign(t[keep], v[idx[keep]])
+    return z
 
 
 def prox_box(v: Vector, lo: Vector, hi: Vector) -> Vector:
@@ -113,8 +97,7 @@ class L1Term(NonsmoothTerm):
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        _check_lam(self.lam)
 
     def eval(self, x: Vector) -> float:
         return self.lam * float(np.abs(x).sum())
@@ -137,8 +120,7 @@ class L0Term(NonsmoothTerm):
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        _check_lam(self.lam)
 
     def eval(self, x: Vector) -> float:
         return self.lam * float(np.count_nonzero(x))
@@ -161,8 +143,7 @@ class LHalfTerm(NonsmoothTerm):
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        _check_lam(self.lam)
 
     def eval(self, x: Vector) -> float:
         return self.lam * float(np.sqrt(np.abs(x)).sum())

@@ -231,7 +231,7 @@ class TestCmdCompare:
         assert all(r["status"] == "converged_residual" for r in rows)
         assert all(r["detail"] == "" for r in rows)
 
-    def test_failure_detail_in_rows(self, tmp_path):
+    def test_failure_detail_in_rows(self, tmp_path, capsys):
         config = dict(
             BASE_CONFIG,
             problem={"kind": "lasso_general", "dim": 10, "seed": 0, "lambda": 0.1},
@@ -244,6 +244,16 @@ class TestCmdCompare:
             r["detail"].startswith("no acceptable stepsize after 0 backtracks")
             for r in rows
         )
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"compare failed: {r['policy']} -> {r['status']}: {r['detail']}"
+            for r in rows
+        ]
+        assert [line.split(" -> ")[0] for line in err] == [
+            "compare failed: monotone",
+            "compare failed: mean_rule",
+            "compare failed: max_rule",
+        ]
 
     def test_p_min_one_collapses_to_monotone(self, tmp_path):
         config = dict(

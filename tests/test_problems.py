@@ -182,6 +182,12 @@ def test_spec_validation():
         ProblemSpec(kind="lasso_identity", lam=-1.0)
 
 
+@pytest.mark.parametrize("lam", [0.0, float("nan"), float("inf")])
+def test_spec_rejects_nonfinite_lambda(lam):
+    with pytest.raises(ValueError, match="lambda must be a positive finite real"):
+        ProblemSpec(kind="lasso_general", lam=lam)
+
+
 MATRIX_KINDS = [
     "lasso_general",
     "quartic_regression_l0",

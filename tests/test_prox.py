@@ -86,7 +86,102 @@ class TestProxL0:
         assert np.array_equal(prox_l0(np.zeros(2), 3.7), np.zeros(2))
 
 
+def lhalf_bisection(v, tau):
+    """Reference l^1/2 prox by bisection on m'(t) = tau/(2 sqrt t) + t - |v|.
+
+    m' is increasing on [t_lo, |v|], t_lo = (tau/4)^(2/3); bisect to width
+    1e-12, or to the float spacing of |v| from 2**13 on, then compare the
+    root against the candidate t = 0. Valid for |v| < 2**511.
+    """
+    t_lo = (tau / 4.0) ** (2.0 / 3.0)
+    out = []
+    for vi in np.asarray(v, dtype=np.float64):
+        av = abs(float(vi))
+        if av == 0.0 or t_lo >= av:
+            out.append(0.0)
+            continue
+
+        def slope(t):
+            return tau / (2.0 * math.sqrt(t)) + t - av
+
+        if slope(t_lo) > 0.0:
+            out.append(0.0)
+            continue
+        tol = 1e-12 if av < 8192.0 else math.ulp(av)
+        lo, hi = t_lo, av
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if slope(mid) <= 0.0:
+                lo = mid
+            else:
+                hi = mid
+        t = 0.5 * (lo + hi)
+        keep = tau * math.sqrt(t) + 0.5 * (t - av) ** 2 < 0.5 * av * av
+        out.append(math.copysign(t, vi) if keep else 0.0)
+    return np.array(out)
+
+
+def lhalf_samples():
+    """(v, tau) pairs with |v| log-uniform on [1e-3, 1e12], tau on [1e-4, 30]."""
+    rng = np.random.default_rng(2012)
+    for _ in range(12):
+        tau = float(10.0 ** rng.uniform(-4.0, math.log10(30.0)))
+        v = np.copysign(10.0 ** rng.uniform(-3.0, 12.0, 400), rng.standard_normal(400))
+        # a quarter of the inputs near the threshold 1.5 tau^(2/3)
+        near = 1.5 * tau ** (2.0 / 3.0) * rng.uniform(0.5, 2.0, 100)
+        v[:100] = np.copysign(near, v[:100])
+        yield v, tau
+
+
 class TestProxLHalf:
+    def test_matches_bisection_oracle(self):
+        nonzero = 0
+        for v, tau in lhalf_samples():
+            z, ref = prox_lhalf(v, tau), lhalf_bisection(v, tau)
+            # at the threshold both candidates tie to rounding; skip that band
+            away = np.abs(np.abs(v) / (1.5 * tau ** (2.0 / 3.0)) - 1.0) > 1e-9
+            assert np.array_equal((z != 0.0)[away], (ref != 0.0)[away])
+            both = (z != 0.0) & (ref != 0.0)
+            assert np.all(np.abs(z[both] - ref[both]) <= 1e-9 * np.abs(ref[both]))
+            nonzero += int(both.sum())
+        assert nonzero > 1000
+
+    def test_stationarity_residual(self):
+        for v, tau in lhalf_samples():
+            z = prox_lhalf(v, tau)
+            t, a = np.abs(z[z != 0.0]), np.abs(v[z != 0.0])
+            assert np.all(np.abs(t + tau / (2.0 * np.sqrt(t)) - a) <= 1e-14 * a)
+
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8),
+        st.floats(1e-6, 1e6),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_never_exceeds_input(self, v, tau):
+        v = np.array(v)
+        z = prox_lhalf(v, tau)
+        assert np.all(np.abs(z) <= np.abs(v))
+        assert np.all((z == 0.0) | (np.sign(z) == np.sign(v)))
+
+    def test_negative_zero_maps_to_positive_zero(self):
+        z = prox_lhalf(np.array([-0.0, 0.0, -1e-3]), 1.0)
+        assert all(math.copysign(1.0, zi) == 1.0 for zi in z)
+
+    @pytest.mark.parametrize("tau", [1e-4, 0.3, 1.0, 30.0])
+    def test_threshold_jump(self, tau):
+        # the objective ties with t = 0 at |v| = 1.5 tau^(2/3), t = tau^(2/3)
+        thr = 1.5 * tau ** (2.0 / 3.0)
+        v = np.array([thr * (1.0 - 1e-9), -thr * (1.0 - 1e-9), thr * (1.0 + 1e-9)])
+        z = prox_lhalf(v, tau)
+        assert z[0] == 0.0 and z[1] == 0.0
+        assert z[2] == pytest.approx(tau ** (2.0 / 3.0), rel=1e-6)
+
+    def test_infinite_tau_gives_zero(self):
+        # gamma * lam overflows to inf for finite gamma and lam
+        v = np.array([3.0, -1e300, 0.0])
+        for kernel in (prox_l1, prox_l0, prox_lhalf):
+            assert np.array_equal(kernel(v, math.inf), np.zeros(3))
+
     def test_zero_input(self):
         assert prox_lhalf(np.array([0.0]), 1.0)[0] == 0.0
 
@@ -234,3 +329,17 @@ def test_term_contract(term):
         # prox outputs stay feasible and repeated calls are bitwise identical
         assert math.isfinite(term.eval(z1))
         assert np.array_equal(z1, z2)
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("kernel", [prox_l1, prox_l0, prox_lhalf], ids=lambda k: k.__name__)
+def test_kernel_rejects_invalid_tau(kernel, tau):
+    with pytest.raises(ValueError, match="tau must be a positive real"):
+        kernel(np.array([1.0]), tau)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("term", [L1Term, L0Term, LHalfTerm], ids=lambda t: t.__name__)
+def test_term_rejects_invalid_lam(term, lam):
+    with pytest.raises(ValueError, match="lam must be a positive finite real"):
+        term(3, lam)

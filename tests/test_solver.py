@@ -298,6 +298,40 @@ class TestSolve:
         result = solve(problem, params, np.array([1e4, -1e6]))
         assert result.status is RunStatus.CONVERGED_RESIDUAL
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            SolverParams(),
+            SolverParams(p_min=1.0),
+            SolverParams(reference_policy=MaxReference(5)),
+        ],
+        ids=["mean", "monotone", "max"],
+    )
+    def test_lhalf_lasso_general_runs_pass_audit_and_repeat(self, params):
+        from nmpg.diagnostics import audit_trace
+
+        base = build_problem(ProblemSpec(kind="lasso_general", dim=200, seed=0))
+        problem = CompositeProblem(f=base.f, phi=LHalfTerm(200, 0.1), name="lhalf")
+        for x0 in (np.zeros(200), np.random.default_rng(9).standard_normal(200)):
+            first = solve(problem, params, x0)
+            assert first.status is RunStatus.CONVERGED_RESIDUAL
+            report = audit_trace(first.trace, params)
+            assert report.passed, [c.to_dict() for c in report.checks if not c.passed]
+            again = solve(problem, params, x0)
+            assert again.trace == first.trace
+            assert again.x_final.tobytes() == first.x_final.tobytes()
+
+    @pytest.mark.parametrize("term", [L1Term, LHalfTerm], ids=lambda t: t.__name__)
+    def test_overflowing_prox_weight_gives_a_status(self, term):
+        # gamma * lam overflows to inf; the prox at infinite weight is zero
+        problem = CompositeProblem(
+            f=quadratic_problem(2).f, phi=term(2, 1e300), name="huge_weight"
+        )
+        params = SolverParams(gamma_max=1e10, gamma_init_policy=ConstantGamma(1e10))
+        result = solve(problem, params, np.ones(2))
+        assert result.status is RunStatus.CONVERGED_RESIDUAL
+        assert np.array_equal(result.x_final, np.zeros(2))
+
     def test_record_iterates_length(self):
         problem = make_quartic_scalar()
         params = SolverParams(epsilon=0.0, max_outer_iters=50)
