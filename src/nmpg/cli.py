@@ -34,7 +34,12 @@ from .core import (
     SolverParams,
     Vector,
 )
-from .problems import ProblemSpec, build_problem, cached_reference_optimum
+from .problems import (
+    ProblemSpec,
+    ReferenceSolveFailed,
+    build_problem,
+    cached_reference_optimum,
+)
 from .solver import compute_m, solve
 
 TRACE_HEADER = "k,psi,reference,gamma,backtracks,step_norm,residual,xi"
@@ -342,14 +347,41 @@ def _n_jobs(n_runs: int) -> int:
     return max(1, min(n_runs, os.cpu_count() or 1))
 
 
-def _rate_reference_value(problem: CompositeProblem) -> float | None:
-    """Optimal value for rate fits: declared if present, else a cached
-    high-accuracy numerical solve (only attempted for convex instances)."""
+def _rate_fits(
+    problem: CompositeProblem, result: RunResult
+) -> tuple[list[diagnostics.RateReport], str | None]:
+    """Tail-rate fit of the reference values, or no fit and the reason.
+
+    psi* is the declared optimum if present, else a cached high-accuracy
+    numerical solve (only attempted for convex instances); a reference solve
+    that did not converge gives no psi*, and so no fit.
+    """
+    if problem.kl_hypothesis is None:
+        return [], "no KL hypothesis declared"
+    if len(result.trace) < 2:
+        return [], "fewer than two iterations"
+    kappa = problem.kl_hypothesis.kappa
     if problem.optimum is not None:
-        return problem.optimum.psi_star
-    if problem.kl_hypothesis is not None and problem.kl_hypothesis.kappa >= 0.5:
-        return cached_reference_optimum(problem)[0]
-    return None
+        psi_star = problem.optimum.psi_star
+    elif kappa >= 0.5:
+        try:
+            psi_star = cached_reference_optimum(problem)[0]
+        except ReferenceSolveFailed as exc:
+            return [], str(exc)
+    else:
+        return [], "no declared optimum, and no reference solve for KL exponent < 1/2"
+    refs = [r.reference for r in result.trace]
+    try:
+        if kappa >= 0.5:
+            rate = diagnostics.estimate_q_factor(refs, psi_star)
+        else:
+            rate = diagnostics.fit_loglog_slope(
+                refs, psi_star, predicted=-1.0 / (1.0 - 2.0 * kappa)
+            )
+    except diagnostics.NonpositiveTail as exc:
+        # the run finished below the float resolution of psi*
+        return [], str(exc)
+    return [rate], None
 
 
 def _run_summary(
@@ -359,24 +391,7 @@ def _run_summary(
     trace_file: str,
 ) -> dict:
     audit = diagnostics.audit_trace(result.trace, params) if result.trace else None
-    rates = []
-    if problem.kl_hypothesis is not None and len(result.trace) >= 2:
-        psi_star = _rate_reference_value(problem)
-        refs = [r.reference for r in result.trace]
-        kappa = problem.kl_hypothesis.kappa
-        try:
-            if psi_star is None:
-                pass
-            elif kappa >= 0.5:
-                rates.append(diagnostics.estimate_q_factor(refs, psi_star))
-            else:
-                rates.append(
-                    diagnostics.fit_loglog_slope(
-                        refs, psi_star, predicted=-1.0 / (1.0 - 2.0 * kappa)
-                    )
-                )
-        except diagnostics.NonpositiveTail:
-            pass  # run finished below float resolution of psi_star; no fit
+    rates, rates_skipped = _rate_fits(problem, result)
     return {
         "trace_file": trace_file,
         "status": result.status.value,
@@ -387,6 +402,7 @@ def _run_summary(
         "wall_time": result.wall_time,
         "audit": None if audit is None else audit.to_dict(),
         "rates": [r.to_dict() for r in rates],
+        "rates_skipped": rates_skipped,
     }
 
 

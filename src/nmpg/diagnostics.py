@@ -84,7 +84,9 @@ def audit_trace(trace: list[IterationRecord], params: SolverParams) -> AuditRepo
 
     The per-step reference-drop inequalities only follow from the mean-rule
     update, so they pass vacuously for max-rule traces; the dominance and
-    monotonicity checks apply to every policy.
+    monotonicity checks apply to every policy. The step-norm decay heuristic
+    (mean tail step no larger than mean head step) only runs on max-rule
+    traces, where no per-step bound applies.
     """
     if not trace:
         raise ValueError("trace is empty")
@@ -138,7 +140,13 @@ def audit_trace(trace: list[IterationRecord], params: SolverParams) -> AuditRepo
         checks.append(_vacuous("reference_drop_per_step", note))
         checks.append(_vacuous("step_bounded_by_xi", note))
 
-    if n >= 20:
+    if mean_rule:
+        # a head/tail heuristic, and valid mean-rule runs can fail it; the
+        # paper's square-summable-steps bound is reference_drop_per_step
+        checks.append(
+            _vacuous("step_norm_decay", "mean rule: covered by reference_drop_per_step")
+        )
+    elif n >= 20:
         m = max(1, math.ceil(0.1 * n))
         head = float(np.mean(step[:m]))
         tail = float(np.mean(step[-m:]))

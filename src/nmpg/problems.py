@@ -19,6 +19,7 @@ from .core import (
     GlobalLipschitz,
     KLHypothesis,
     Optimum,
+    RunStatus,
     SmoothModel,
     SolverParams,
     Vector,
@@ -324,7 +325,13 @@ def build_problem(spec: ProblemSpec) -> CompositeProblem:
 
 # -- high-accuracy reference optima -------------------------------------------
 
-_REFERENCE_CACHE: dict[str, tuple[float, Vector]] = {}
+
+class ReferenceSolveFailed(RuntimeError):
+    """The reference solve ended without meeting its residual tolerance, so
+    no optimal value is available for the instance."""
+
+
+_REFERENCE_CACHE: dict[str, tuple[float, Vector] | ReferenceSolveFailed] = {}
 
 
 def reference_optimum(
@@ -332,15 +339,25 @@ def reference_optimum(
     epsilon: float = 1e-12,
     max_outer_iters: int = 1_000_000,
 ) -> tuple[float, Vector]:
-    """High-accuracy optimum estimate from a long monotone run (p = 1).
+    """High-accuracy optimum estimate from a mean-rule run to `epsilon`.
 
     Intended for problems without a closed-form optimum whose objective gap
-    the rate diagnostics need. Starts from the domain witness.
+    the rate diagnostics need. Runs the default nonmonotone rule
+    (`SolverParams` defaults, p_min = 0.1) from the domain witness. The
+    monotone rule (p = 1) is not used: near the optimum its acceptance test
+    fails on rounding noise and backtracks until the step vanishes.
+
+    Raises ReferenceSolveFailed, naming the status and its detail, unless
+    the run ends `CONVERGED_RESIDUAL`; an unconverged point is never
+    returned as psi*.
     """
-    params = SolverParams(
-        p_min=1.0, epsilon=epsilon, max_outer_iters=max_outer_iters
-    )
+    params = SolverParams(epsilon=epsilon, max_outer_iters=max_outer_iters)
     result = solve(problem, params, problem.phi.domain_witness)
+    if result.status is not RunStatus.CONVERGED_RESIDUAL:
+        raise ReferenceSolveFailed(
+            f"reference solve {result.status.value}: "
+            + (result.detail or f"{result.iterations} iterations")
+        )
     x_star = frozen_array(result.x_final)
     psi_star = psi_eval(problem, x_star)
     return psi_star, x_star
@@ -349,11 +366,17 @@ def reference_optimum(
 def cached_reference_optimum(problem: CompositeProblem) -> tuple[float, Vector]:
     """Memoized `reference_optimum`, keyed by the instance name.
 
-    Safe for problems built through `build_problem`, whose names encode kind,
-    dimension, seed, and data parameters.
+    A failed solve is cached too, and raises its ReferenceSolveFailed again
+    on every later call. Safe for problems built through `build_problem`,
+    whose names encode kind, dimension, seed, and data parameters.
     """
     hit = _REFERENCE_CACHE.get(problem.name)
     if hit is None:
-        hit = reference_optimum(problem)
+        try:
+            hit = reference_optimum(problem)
+        except ReferenceSolveFailed as exc:
+            hit = exc
         _REFERENCE_CACHE[problem.name] = hit
+    if isinstance(hit, ReferenceSolveFailed):
+        raise hit.with_traceback(None)
     return hit

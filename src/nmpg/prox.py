@@ -22,6 +22,18 @@ def _check_lam(lam: float) -> None:
         raise ValueError(f"lam must be a positive finite real, got {lam!r}")
 
 
+def _penalty_prox(kernel, v: Vector, gamma: float, lam: float) -> Vector:
+    """kernel(v, gamma * lam) for a term lam * penalty(x).
+
+    For positive gamma and lam the product can underflow to 0, where the
+    prox is the identity; the kernels only take tau > 0.
+    """
+    tau = gamma * lam
+    if tau == 0.0 and gamma > 0.0:
+        return as_vector(v).copy()
+    return kernel(v, tau)
+
+
 def prox_l1(v: Vector, tau: float) -> Vector:
     """Soft threshold: componentwise argmin of tau*|t| + (t - v_i)^2 / 2."""
     _check_tau(tau)
@@ -103,7 +115,7 @@ class L1Term(NonsmoothTerm):
         return self.lam * float(np.abs(x).sum())
 
     def prox(self, gamma: float, v: Vector) -> Vector:
-        return prox_l1(v, gamma * self.lam)
+        return _penalty_prox(prox_l1, v, gamma, self.lam)
 
     @property
     def domain_witness(self) -> Vector:
@@ -126,7 +138,7 @@ class L0Term(NonsmoothTerm):
         return self.lam * float(np.count_nonzero(x))
 
     def prox(self, gamma: float, v: Vector) -> Vector:
-        return prox_l0(v, gamma * self.lam)
+        return _penalty_prox(prox_l0, v, gamma, self.lam)
 
     @property
     def domain_witness(self) -> Vector:
@@ -149,7 +161,7 @@ class LHalfTerm(NonsmoothTerm):
         return self.lam * float(np.sqrt(np.abs(x)).sum())
 
     def prox(self, gamma: float, v: Vector) -> Vector:
-        return prox_lhalf(v, gamma * self.lam)
+        return _penalty_prox(prox_lhalf, v, gamma, self.lam)
 
     @property
     def domain_witness(self) -> Vector:

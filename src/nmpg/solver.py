@@ -202,10 +202,18 @@ def backtrack(
             )
         # enough shrinking underflows the stepsize to 0 (1075 halvings from 1)
         if backtracks >= params.max_backtracks or gamma * params.beta == 0.0:
-            raise BacktrackLimitExceeded(
+            reason = (
                 f"no acceptable stepsize after {backtracks} backtracks "
                 f"(gamma reached {gamma:.3e})"
             )
+            # typical of the monotone rule next to a stationary point: psi no
+            # longer moves, and the required decrease is below its rounding
+            if abs(psi_next - reference) <= 4.0 * math.ulp(reference):
+                reason += (
+                    "; acceptance failed within rounding of the reference "
+                    "(the last trial's psi is within 4 ulps of it)"
+                )
+            raise BacktrackLimitExceeded(reason)
         gamma *= params.beta
         backtracks += 1
 

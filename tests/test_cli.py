@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import nmpg.problems
 import nmpg.prox
 from nmpg.cli import (
     ConfigError,
@@ -16,6 +17,7 @@ from nmpg.cli import (
     read_trace_csv,
     write_trace_csv,
 )
+from nmpg.problems import ReferenceSolveFailed
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -149,6 +151,37 @@ class TestCmdRun:
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         rates = summary["runs"][0]["rates"]
         assert rates and rates[0]["mode"] == "q_linear" and rates[0]["pass"]
+        assert summary["runs"][0]["rates_skipped"] is None
+
+    def test_failed_reference_solve_skips_rate_fit(self, tmp_path, monkeypatch):
+        calls = []
+
+        def failing_reference(problem, *args, **kwargs):
+            calls.append(problem.name)
+            raise ReferenceSolveFailed("reference solve max_iters: forced")
+
+        monkeypatch.setattr(nmpg.problems, "reference_optimum", failing_reference)
+        monkeypatch.setattr(nmpg.problems, "_REFERENCE_CACHE", {})
+        config = dict(
+            BASE_CONFIG,
+            problem={"kind": "lasso_general", "dim": 10, "seed": 0, "lambda": 0.1},
+            params={"epsilon": 1e-6},
+            x0={"policy": "seeded", "seed": 3},
+            repeats=8,
+        )
+        path = write_config(tmp_path, config)
+        assert cmd_run(path, out_dir=str(tmp_path / "o")) == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert len(summary["runs"]) == 8
+        for run in summary["runs"]:
+            assert run["status"] == "converged_residual"
+            assert run["rates"] == []
+            assert run["rates_skipped"] == "reference solve max_iters: forced"
+
+        assert cmd_compare(path, out_dir=str(tmp_path / "c")) == 0
+        rows = json.loads((tmp_path / "c" / "compare_summary.json").read_text())["rows"]
+        assert all(r["rates_skipped"] == "reference solve max_iters: forced" for r in rows)
+        assert calls == [summary["problem"]]
 
     def test_summary_rate_fit_sublinear_class(self, tmp_path):
         config = dict(
@@ -184,6 +217,8 @@ class TestCmdRun:
         )
         runs = json.loads((tmp_path / "out" / "summary.json").read_text())["runs"]
         assert runs[0]["detail"].startswith("no acceptable stepsize after 0 backtracks")
+        assert runs[0]["rates"] == []
+        assert runs[0]["rates_skipped"] == "fewer than two iterations"
 
     def test_bitwise_identical_reruns(self, tmp_path):
         config = dict(
@@ -230,6 +265,7 @@ class TestCmdCompare:
         assert [r["policy"] for r in rows] == ["monotone", "mean_rule", "max_rule"]
         assert all(r["status"] == "converged_residual" for r in rows)
         assert all(r["detail"] == "" for r in rows)
+        assert all(r["rates"] and r["rates_skipped"] is None for r in rows)
 
     def test_failure_detail_in_rows(self, tmp_path, capsys):
         config = dict(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nmpg import (
+    MaxReference,
     ProblemSpec,
     SolverParams,
     build_problem,
@@ -198,6 +199,27 @@ class TestAuditTrace:
         report = audit_trace(trace, params)
         assert not report.check("reference_drop_per_step").passed
         assert not report.check("step_bounded_by_xi").passed
+
+    def test_fault_step_norm_growth_under_max_rule(self):
+        problem = build_problem(ProblemSpec(kind="lasso_general", dim=10, seed=0))
+        params = SolverParams(reference_policy=MaxReference(5))
+        trace = list(solve(problem, params, np.zeros(10)).trace)
+        assert len(trace) >= 20
+        assert audit_trace(trace, params).passed
+        head = trace[0].step_norm
+        trace[-2:] = [dataclasses.replace(r, step_norm=10.0 * head) for r in trace[-2:]]
+        assert not audit_trace(trace, params).check("step_norm_decay").passed
+
+    def test_mean_rule_run_with_late_long_steps_passes(self):
+        # the mean tail step exceeds the mean head step on this valid run;
+        # the per-step bound of reference_drop_per_step holds throughout
+        problem = build_problem(
+            ProblemSpec(kind="quartic_regression_l0", dim=2, seed=1)
+        )
+        params = SolverParams()
+        result = solve(problem, params, make_x0(problem, SeededStart(2), 2))
+        report = audit_trace(result.trace, params)
+        assert report.passed, [c.to_dict() for c in report.checks if not c.passed]
 
     def test_reference_drop_lost_to_rounding_passes(self):
         # the last reference drops are below float resolution, so xi is 0

@@ -8,6 +8,7 @@ from nmpg import (
     GlobalLipschitz,
     LocalLipschitz,
     ProblemSpec,
+    ReferenceSolveFailed,
     RunStatus,
     SolverParams,
     build_problem,
@@ -19,6 +20,7 @@ from nmpg import (
     make_quartic_scalar,
     make_sparsity_projected_quadratic,
     psi_eval,
+    reference_optimum,
     solve,
 )
 from nmpg.diagnostics import max_gradient_error
@@ -72,6 +74,24 @@ class TestLassoGeneral:
         # hand solve: x_i = (b_i - lam/a_i)/a_i while positive
         expect = np.array([(1.0 - 0.1) / 1.0, (1.0 - 0.1 / 2.0) / 2.0])
         assert np.linalg.norm(x_star - expect) <= 1e-8
+
+    # each monotone solve takes under 0.1 s; dim 50 seed 0 is acceptance
+    # criterion 4's instance
+    @pytest.mark.parametrize("dim,seed", [(10, 0), (20, 2), (50, 0), (50, 2)])
+    def test_reference_matches_monotone_oracle(self, dim, seed):
+        # oracle: the monotone rule (p_min = 1) run to the same tolerance
+        problem = build_problem(ProblemSpec(kind="lasso_general", dim=dim, seed=seed))
+        params = SolverParams(p_min=1.0, epsilon=1e-12, max_outer_iters=1_000_000)
+        oracle = solve(problem, params, problem.phi.domain_witness)
+        assert oracle.status is RunStatus.CONVERGED_RESIDUAL
+        psi_star, _ = reference_optimum(problem)
+        expect = psi_eval(problem, oracle.x_final)
+        assert psi_star == pytest.approx(expect, rel=1e-14, abs=0.0)
+
+    def test_unconverged_reference_raises_naming_status(self):
+        problem = build_problem(ProblemSpec(kind="lasso_general", dim=10, seed=0))
+        with pytest.raises(ReferenceSolveFailed, match="reference solve max_iters"):
+            reference_optimum(problem, max_outer_iters=1)
 
     def test_zero_data_optimum_is_origin(self):
         problem = make_lasso_general(np.diag([1.0, 2.0]), np.zeros(2), 0.5)

@@ -13,6 +13,7 @@ from nmpg import (
     CompositeProblem,
     ConstantGamma,
     GlobalLipschitz,
+    L0Term,
     L1Term,
     LHalfTerm,
     MaxReference,
@@ -235,6 +236,7 @@ class TestSolve:
         result = solve(problem, params, np.zeros(10))
         assert result.status is RunStatus.BACKTRACK_CAP_EXCEEDED
         assert result.detail.startswith("no acceptable stepsize after 0 backtracks")
+        assert "rounding" not in result.detail  # the rejected trial rose far above
 
     def test_overflow_reports_numerical_failure(self):
         a = np.full((1, 1), 1.0)
@@ -331,6 +333,33 @@ class TestSolve:
         result = solve(problem, params, np.ones(2))
         assert result.status is RunStatus.CONVERGED_RESIDUAL
         assert np.array_equal(result.x_final, np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "term", [L1Term, L0Term, LHalfTerm], ids=lambda t: t.__name__
+    )
+    def test_underflowing_prox_weight_gives_a_status(self, term):
+        # gamma * lam underflows to 0; the prox at zero weight is the identity
+        problem = CompositeProblem(
+            f=quadratic_problem(2).f, phi=term(2, 5e-324), name="tiny_weight"
+        )
+        params = SolverParams(gamma_init_policy=ConstantGamma(0.5))
+        result = solve(problem, params, np.ones(2))
+        assert result.status is RunStatus.CONVERGED_RESIDUAL
+        # each identity prox leaves the gradient step x - 0.5 x, exact in floats
+        assert np.array_equal(result.x_final, np.full(2, 0.5**result.iterations))
+
+    def test_monotone_stall_names_rounding_in_detail(self):
+        # next to a stationary point, psi at every trial equals the reference
+        # to the last bit, so the monotone test asks for a decrease below
+        # rounding and the stepsize shrinks to the cap
+        base = build_problem(ProblemSpec(kind="lasso_general", dim=50, seed=0))
+        problem = CompositeProblem(f=base.f, phi=LHalfTerm(50, 0.5), name="lhalf")
+        x0 = np.random.default_rng(50).standard_normal(50)
+        result = solve(problem, SolverParams(p_min=1.0), x0)
+        assert result.status is RunStatus.BACKTRACK_CAP_EXCEEDED
+        assert result.iterations == 162
+        assert result.detail.startswith("no acceptable stepsize after 100 backtracks")
+        assert "acceptance failed within rounding of the reference" in result.detail
 
     def test_record_iterates_length(self):
         problem = make_quartic_scalar()
