@@ -32,6 +32,7 @@ from .core import (
     RunResult,
     RunStatus,
     SolverParams,
+    Trace,
     Vector,
 )
 from .problems import (
@@ -45,6 +46,10 @@ from .solver import compute_m, solve
 TRACE_HEADER = "k,psi,reference,gamma,backtracks,step_norm,residual,xi"
 
 JOBS_ENV_VAR = "NMPG_JOBS"
+
+FAILED_STATUSES = frozenset(
+    {RunStatus.BACKTRACK_CAP_EXCEEDED, RunStatus.NUMERICAL_FAILURE}
+)
 
 
 class ConfigError(ValueError):
@@ -293,36 +298,36 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 # -- trace persistence ----------------------------------------------------------
 
 
-def write_trace_csv(path, trace: list[IterationRecord]) -> None:
+def write_trace_csv(path, trace: Trace | list[IterationRecord]) -> None:
     lines = [TRACE_HEADER]
-    for r in trace:
+    for k, psi, ref, gamma, bts, step, res, xi in Trace.of(trace).rows:
         lines.append(
-            f"{r.k},{r.psi:.17g},{r.reference:.17g},{r.gamma_accepted:.17g},"
-            f"{r.backtracks},{r.step_norm:.17g},{r.residual:.17g},{r.xi:.17g}"
+            f"{k},{psi:.17g},{ref:.17g},{gamma:.17g},"
+            f"{bts},{step:.17g},{res:.17g},{xi:.17g}"
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_trace_csv(path) -> list[IterationRecord]:
+def read_trace_csv(path) -> Trace:
     lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
     if not lines or lines[0] != TRACE_HEADER:
         raise ValueError(f"{path}: not a trace file")
-    out = []
+    rows = []
     for line in lines[1:]:
         k, psi, ref, gamma, bts, step, res, xi = line.split(",")
-        out.append(
-            IterationRecord(
-                k=int(k),
-                psi=float(psi),
-                reference=float(ref),
-                gamma_accepted=float(gamma),
-                backtracks=int(bts),
-                step_norm=float(step),
-                residual=float(res),
-                xi=float(xi),
+        rows.append(
+            (
+                int(k),
+                float(psi),
+                float(ref),
+                float(gamma),
+                int(bts),
+                float(step),
+                float(res),
+                float(xi),
             )
         )
-    return out
+    return Trace(rows)
 
 
 def make_x0(problem: CompositeProblem, policy: X0Policy, repeat: int) -> Vector:
@@ -370,7 +375,7 @@ def _rate_fits(
             return [], str(exc)
     else:
         return [], "no declared optimum, and no reference solve for KL exponent < 1/2"
-    refs = [r.reference for r in result.trace]
+    refs = result.trace.columns()["reference"]
     try:
         if kappa >= 0.5:
             rate = diagnostics.estimate_q_factor(refs, psi_star)
@@ -384,21 +389,47 @@ def _rate_fits(
     return [rate], None
 
 
+def _evaluation_counts(result: RunResult) -> dict:
+    """Backtracks, and f, gradient and prox evaluations, of a solve.
+
+    All are derived from the trace: each trial evaluates f and the prox once,
+    and the start point and each accepted step evaluate the gradient once. A
+    failed run's trace lacks the trials of its failing iteration, so its
+    evaluation counts are None.
+    """
+    backtracks = int(result.trace.columns()["backtracks"].sum())
+    if result.status in FAILED_STATUSES:
+        return {
+            "total_backtracks": backtracks,
+            "f_evals": None,
+            "grad_evals": None,
+            "prox_calls": None,
+        }
+    trials = result.iterations + backtracks
+    return {
+        "total_backtracks": backtracks,
+        "f_evals": 1 + trials,
+        "grad_evals": 1 + result.iterations,
+        "prox_calls": trials,
+    }
+
+
 def _run_summary(
     problem: CompositeProblem,
     params: SolverParams,
     result: RunResult,
     trace_file: str,
 ) -> dict:
-    audit = diagnostics.audit_trace(result.trace, params) if result.trace else None
+    trace = result.trace
+    audit = diagnostics.audit_trace(trace, params) if trace else None
     rates, rates_skipped = _rate_fits(problem, result)
     return {
         "trace_file": trace_file,
         "status": result.status.value,
         "detail": result.detail,
         "iterations": result.iterations,
-        "final_residual": result.trace[-1].residual if result.trace else None,
-        "total_backtracks": sum(r.backtracks for r in result.trace),
+        "final_residual": trace[-1].residual if trace else None,
+        **_evaluation_counts(result),
         "wall_time": result.wall_time,
         "audit": None if audit is None else audit.to_dict(),
         "rates": [r.to_dict() for r in rates],
@@ -439,9 +470,8 @@ def cmd_run(config_path, out_dir=None) -> int:
         json.dumps(summary, indent=2) + "\n", encoding="utf-8"
     )
 
-    failed = {RunStatus.BACKTRACK_CAP_EXCEEDED.value, RunStatus.NUMERICAL_FAILURE.value}
-    for run in runs:
-        if run["status"] in failed:
+    for run, result in zip(runs, results):
+        if result.status in FAILED_STATUSES:
             print(
                 f"run failed: {run['trace_file']} -> {run['status']}: {run['detail']}",
                 file=sys.stderr,
@@ -509,19 +539,26 @@ def cmd_compare(config_path, out_dir=None) -> int:
         encoding="utf-8",
     )
 
-    print(f"{'policy':<10} {'status':<22} {'iters':>7} {'backtracks':>10} "
-          f"{'final_resid':>12} {'wall_s':>8}")
+    print(
+        f"{'policy':<10} {'status':<22} {'iters':>7} {'backtracks':>10} "
+        f"{'f_evals':>8} {'grad_evals':>10} {'prox_calls':>10} "
+        f"{'final_resid':>12} {'wall_s':>8}"
+    )
     for row in rows:
+        f_evals, grad_evals, prox_calls = (
+            "-" if row[key] is None else row[key]
+            for key in ("f_evals", "grad_evals", "prox_calls")
+        )
         resid = row["final_residual"]
         print(
             f"{row['policy']:<10} {row['status']:<22} {row['iterations']:>7} "
             f"{row['total_backtracks']:>10} "
+            f"{f_evals:>8} {grad_evals:>10} {prox_calls:>10} "
             f"{'-' if resid is None else format(resid, '.3e'):>12} "
             f"{row['wall_time']:>8.3f}"
         )
 
-    failed = {RunStatus.BACKTRACK_CAP_EXCEEDED.value, RunStatus.NUMERICAL_FAILURE.value}
-    failures = [row for row in rows if row["status"] in failed]
+    failures = [row for row in rows if RunStatus(row["status"]) in FAILED_STATUSES]
     for row in failures:
         print(
             f"compare failed: {row['policy']} -> {row['status']}: {row['detail']}",

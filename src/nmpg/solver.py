@@ -20,12 +20,12 @@ from .core import (
     BarzilaiBorweinSafeguarded,
     CompositeProblem,
     ConstantGamma,
-    IterationRecord,
     MaxReference,
     PreviousAccepted,
     RunResult,
     RunStatus,
     SolverParams,
+    Trace,
     Vector,
     as_vector,
     check_dim,
@@ -58,7 +58,7 @@ class SolverState:
     bb_den: float = math.nan
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class StepOutcome:
     """An accepted trial step together with its bookkeeping."""
 
@@ -76,15 +76,13 @@ def subproblem_step(
     problem: CompositeProblem, x: Vector, grad_x: Vector, gamma: float
 ) -> Vector:
     """One prox-gradient trial: a selected minimizer of the local model
-    phi(z) + ||z - (x - gamma*grad_x)||^2 / (2 gamma)."""
+    phi(z) + ||z - (x - gamma*grad_x)||^2 / (2 gamma).
+
+    The output is not checked for non-finite entries; `backtrack` does that.
+    """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    if not np.all(np.isfinite(grad_x)):
-        raise NumericalFailure("gradient contains non-finite entries")
-    x_next = problem.phi.prox(gamma, x - gamma * grad_x)
-    if not np.all(np.isfinite(x_next)):
-        raise NumericalFailure("prox step produced non-finite entries")
-    return x_next
+    return problem.phi.prox(gamma, x - gamma * grad_x)
 
 
 def accept_step(
@@ -110,7 +108,8 @@ def residual(
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     r = (x_next - x) / gamma - grad_next + grad_x
-    return float(np.linalg.norm(r))
+    # np.linalg.norm's own formula for a 1-D vector, without its overhead
+    return math.sqrt(float(r.dot(r)))
 
 
 def update_reference(reference: float, p_next: float, psi_next: float) -> float:
@@ -176,7 +175,12 @@ def backtrack(
     while True:
         x_next = subproblem_step(problem, x, grad_x, gamma)
         dx = x_next - x
-        step_norm_sq = float(dx @ dx)
+        step_norm_sq = float(dx.dot(dx))
+        # x is finite, so a non-finite entry of x_next makes this sum
+        # non-finite; finite entries can overflow it too, which only makes
+        # the acceptance test fail, so scan the entries only then
+        if not math.isfinite(step_norm_sq) and not np.all(np.isfinite(x_next)):
+            raise NumericalFailure("prox step produced non-finite entries")
         f_next = float(f_eval(x_next))
         if not math.isfinite(f_next):
             raise NumericalFailure("smooth term overflowed at a trial point")
@@ -188,17 +192,19 @@ def backtrack(
         psi_next = f_next + phi_next
         if accept_step(psi_next, reference, params.alpha, gamma, step_norm_sq):
             grad_next = problem.f.grad(x_next)
-            if not np.all(np.isfinite(grad_next)):
-                raise NumericalFailure("gradient overflowed at the accepted point")
             res = residual(x_next, x, gamma, grad_next, grad_x)
+            # the residual vector holds -grad_next, so a non-finite entry of
+            # it makes res non-finite; as for the step, scan only then
+            if not math.isfinite(res) and not np.all(np.isfinite(grad_next)):
+                raise NumericalFailure("gradient overflowed at the accepted point")
             return StepOutcome(
-                x_next=x_next,
-                gamma_used=gamma,
-                backtracks=backtracks,
-                psi_next=psi_next,
-                residual=res,
-                step_norm=math.sqrt(step_norm_sq),
-                grad_next=grad_next,
+                x_next,
+                gamma,
+                backtracks,
+                psi_next,
+                res,
+                math.sqrt(step_norm_sq),
+                grad_next,
             )
         # enough shrinking underflows the stepsize to 0 (1075 halvings from 1)
         if backtracks >= params.max_backtracks or gamma * params.beta == 0.0:
@@ -261,7 +267,8 @@ def solve(
     if not math.isfinite(phi0):
         raise ValueError("x0 lies outside dom(phi)")
 
-    trace: list[IterationRecord] = []
+    trace = Trace()
+    append_row = trace.rows.append
     iterates: list[Vector] | None = [x0.copy()] if record_iterates else None
 
     def result(status: RunStatus, x_final: Vector, detail: str = "") -> RunResult:
@@ -303,16 +310,17 @@ def solve(
             return result(RunStatus.NUMERICAL_FAILURE, state.x, str(exc))
 
         xi = 0.0 if k == 0 else math.sqrt(max(reference_prev - state.reference, 0.0))
-        trace.append(
-            IterationRecord(
-                k=k,
-                psi=state.psi_x,
-                reference=state.reference,
-                gamma_accepted=out.gamma_used,
-                backtracks=out.backtracks,
-                step_norm=out.step_norm,
-                residual=out.residual,
-                xi=xi,
+        # the fields of IterationRecord, in order
+        append_row(
+            (
+                k,
+                state.psi_x,
+                state.reference,
+                out.gamma_used,
+                out.backtracks,
+                out.step_norm,
+                out.residual,
+                xi,
             )
         )
         if iterates is not None:
@@ -327,8 +335,8 @@ def solve(
 
         dx = out.x_next - state.x
         dg = out.grad_next - state.grad_x
-        state.bb_num = float(dx @ dg)
-        state.bb_den = float(dg @ dg)
+        state.bb_num = float(dx.dot(dg))
+        state.bb_den = float(dg.dot(dg))
 
         reference_prev = state.reference
         if is_max_rule:

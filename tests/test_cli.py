@@ -5,19 +5,33 @@ import pytest
 
 import nmpg.problems
 import nmpg.prox
+from nmpg import (
+    CompositeProblem,
+    ConstantGamma,
+    NonsmoothTerm,
+    ProblemSpec,
+    RunStatus,
+    SmoothModel,
+    SolverParams,
+    build_problem,
+    solve,
+)
 from nmpg.cli import (
     ConfigError,
+    SeededStart,
+    _evaluation_counts,
     cmd_check,
     cmd_compare,
     cmd_run,
     config_to_dict,
     load_config,
     main,
+    make_x0,
     parse_config,
     read_trace_csv,
     write_trace_csv,
 )
-from nmpg.problems import ReferenceSolveFailed
+from nmpg.problems import PROBLEM_KINDS, ReferenceSolveFailed
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -388,3 +402,132 @@ class TestParallelism:
                 assert (tmp_path / kind / "4" / name).read_bytes() == (
                     tmp_path / kind / "1" / name
                 ).read_bytes()
+
+
+class CountingTerm(NonsmoothTerm):
+    """Delegates to `term`, counting prox calls."""
+
+    def __init__(self, term):
+        self.term = term
+        self.dim = term.dim
+        self.prox_calls = 0
+
+    def eval(self, x):
+        return self.term.eval(x)
+
+    def prox(self, gamma, v):
+        self.prox_calls += 1
+        return self.term.prox(gamma, v)
+
+    @property
+    def domain_witness(self):
+        return self.term.domain_witness
+
+
+class TestEvaluationCounts:
+    @pytest.mark.parametrize("kind", PROBLEM_KINDS)
+    @pytest.mark.parametrize(
+        "params, status",
+        [
+            (SolverParams(epsilon=1e-6), RunStatus.CONVERGED_RESIDUAL),
+            # a short constant stepsize keeps lasso_identity from landing on
+            # its solution in one step
+            (
+                SolverParams(
+                    epsilon=0.0, max_outer_iters=7, gamma_init_policy=ConstantGamma(0.3)
+                ),
+                RunStatus.MAX_ITERS,
+            ),
+        ],
+    )
+    def test_counts_match_counted_calls(self, kind, params, status):
+        base = build_problem(ProblemSpec(kind=kind, dim=8, seed=0))
+        calls = {"eval": 0, "grad": 0}
+
+        def counted(name, fn):
+            def wrapper(x):
+                calls[name] += 1
+                return fn(x)
+
+            return wrapper
+
+        phi = CountingTerm(base.phi)
+        problem = CompositeProblem(
+            f=SmoothModel(
+                base.dim, counted("eval", base.f.eval), counted("grad", base.f.grad)
+            ),
+            phi=phi,
+            name=base.name,
+        )
+        x0 = make_x0(base, SeededStart(0), 0)
+        result = solve(problem, params, x0)
+        assert result.status is status
+        counts = _evaluation_counts(result)
+        trials = result.iterations + sum(r.backtracks for r in result.trace)
+        assert counts == {
+            "total_backtracks": trials - result.iterations,
+            "f_evals": calls["eval"],
+            "grad_evals": calls["grad"],
+            "prox_calls": phi.prox_calls,
+        }
+        assert counts["f_evals"] == 1 + trials
+        assert counts["grad_evals"] == 1 + result.iterations
+        assert counts["prox_calls"] == trials
+
+    def test_summaries_carry_counts(self, tmp_path, capsys):
+        config = dict(
+            BASE_CONFIG,
+            problem={"kind": "lasso_general", "dim": 10, "seed": 0, "lambda": 0.1},
+        )
+        path = write_config(tmp_path, config)
+        assert cmd_run(path, out_dir=str(tmp_path / "r")) == 0
+        run = json.loads((tmp_path / "r" / "summary.json").read_text())["runs"][0]
+        trials = run["iterations"] + run["total_backtracks"]
+        assert (run["f_evals"], run["grad_evals"], run["prox_calls"]) == (
+            1 + trials,
+            1 + run["iterations"],
+            trials,
+        )
+        capsys.readouterr()
+        assert cmd_compare(path, out_dir=str(tmp_path / "c")) == 0
+        rows = json.loads((tmp_path / "c" / "compare_summary.json").read_text())["rows"]
+        table = capsys.readouterr().out.splitlines()
+        assert table[0].split() == [
+            "policy",
+            "status",
+            "iters",
+            "backtracks",
+            "f_evals",
+            "grad_evals",
+            "prox_calls",
+            "final_resid",
+            "wall_s",
+        ]
+        for row, line in zip(rows, table[1:]):
+            trials = row["iterations"] + row["total_backtracks"]
+            assert row["prox_calls"] == trials
+            assert line.split()[2:7] == [
+                str(row["iterations"]),
+                str(row["total_backtracks"]),
+                str(1 + trials),
+                str(1 + row["iterations"]),
+                str(trials),
+            ]
+
+    def test_failed_runs_report_no_counts(self, tmp_path, capsys):
+        config = dict(
+            BASE_CONFIG,
+            problem={"kind": "lasso_general", "dim": 10, "seed": 0, "lambda": 0.1},
+            params={"max_backtracks": 0},
+        )
+        path = write_config(tmp_path, config)
+        assert cmd_compare(path, out_dir=str(tmp_path / "c")) == 2
+        rows = json.loads((tmp_path / "c" / "compare_summary.json").read_text())["rows"]
+        table = capsys.readouterr().out.splitlines()
+        for row, line in zip(rows, table[1:]):
+            assert row["status"] == "backtrack_cap_exceeded"
+            assert row["f_evals"] is row["grad_evals"] is row["prox_calls"] is None
+            assert line.split()[4:7] == ["-", "-", "-"]
+        assert cmd_run(path, out_dir=str(tmp_path / "r")) == 2
+        run = json.loads((tmp_path / "r" / "summary.json").read_text())["runs"][0]
+        assert run["f_evals"] is run["grad_evals"] is run["prox_calls"] is None

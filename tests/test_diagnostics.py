@@ -1,18 +1,21 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nmpg import (
     MaxReference,
+    MeanReference,
     ProblemSpec,
     SolverParams,
     build_problem,
+    cached_reference_optimum,
     make_quartic_scalar,
     solve,
 )
-from nmpg.cli import SeededStart, make_x0
+from nmpg.cli import SeededStart, load_config, make_x0
 from nmpg.diagnostics import (
     NegativeGap,
     NonpositiveTail,
@@ -26,6 +29,9 @@ from nmpg.diagnostics import (
     l1_shrinkage_optimality_gap,
     xi_series,
 )
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -258,3 +264,24 @@ class TestShrinkageGap:
     def test_positive_off_solution(self):
         b = np.array([2.0, 0.5])
         assert l1_shrinkage_optimality_gap(b, b, 1.0) > 0.5
+
+
+def test_q_fit_is_stable_under_ulp_moves_of_psi_star():
+    # the monotone row of `nmpg compare` on this config; gaps within rounding
+    # of psi* are cut before the fit, so the fitted q must not follow the
+    # last bits of psi* (before, it ranged over 0.1613-0.1632 here)
+    config = load_config(CONFIGS / "lasso_general_50.json")
+    problem = build_problem(config.problem)
+    params = dataclasses.replace(
+        config.params, p_min=1.0, reference_policy=MeanReference()
+    )
+    result = solve(problem, params, make_x0(problem, config.x0_policy, 0))
+    refs = result.trace.columns()["reference"]
+    psi_star = cached_reference_optimum(problem)[0]
+    fits = []
+    for ulps in (-4, -1, 0, 1, 4):
+        moved = psi_star
+        for _ in range(abs(ulps)):
+            moved = math.nextafter(moved, math.copysign(math.inf, ulps))
+        fits.append(estimate_q_factor(refs, moved).fitted)
+    assert max(fits) - min(fits) < 1e-4

@@ -17,6 +17,7 @@ from nmpg import (
     L1Term,
     LHalfTerm,
     MaxReference,
+    NonsmoothTerm,
     PreviousAccepted,
     RunStatus,
     SmoothModel,
@@ -552,3 +553,124 @@ def test_hostile_inputs_give_a_status_or_reject_the_start(
     else:
         assert not invalid_start
         assert isinstance(result.status, RunStatus)
+
+
+# -- the scalar finiteness checks -----------------------------------------------
+#
+# backtrack tests math.isfinite on dx @ dx and on the residual, whose vector
+# holds -grad, and scans the entries of the trial or the gradient only when
+# that number is non-finite. Each case below gives the status, detail, trace
+# length and x_final that scanning every trial and gradient gave.
+
+
+class NonfiniteProx(NonsmoothTerm):
+    """phi = 0, with a prox that writes `bad` into the last entry once every
+    |v_i| < 0.3."""
+
+    def __init__(self, dim, bad):
+        self.dim = dim
+        self.bad = bad
+
+    def eval(self, x):
+        return 0.0
+
+    def prox(self, gamma, v):
+        z = np.array(v, dtype=np.float64)
+        if np.max(np.abs(z)) < 0.3:
+            z[-1] = self.bad
+        return z
+
+    @property
+    def domain_witness(self):
+        return np.zeros(self.dim)
+
+
+class TestScalarFiniteChecks:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_prox_output_is_a_numerical_failure(self, bad):
+        # f = |x|^2/4 and gamma = 1 halve x: the first step (v = 0.5) is
+        # accepted, the second trial (v = 0.25) gets the bad entry
+        problem = CompositeProblem(
+            f=SmoothModel(3, lambda x: 0.25 * float(x @ x), lambda x: 0.5 * x),
+            phi=NonfiniteProx(3, bad),
+            name="nonfinite_prox",
+        )
+        result = solve(problem, SolverParams(), np.ones(3))
+        assert result.status is RunStatus.NUMERICAL_FAILURE
+        assert result.detail == "prox step produced non-finite entries"
+        assert result.iterations == 1
+        assert np.array_equal(result.x_final, np.full(3, 0.5))
+
+    @staticmethod
+    def far_step_problem():
+        # the gradient at 0 is -1e200 per entry, so the trial from 0 at
+        # stepsize gamma is gamma * 1e200: finite entries whose squared norm
+        # overflows until gamma is below about 1e-46; f stays finite
+        return CompositeProblem(
+            f=SmoothModel(
+                2,
+                lambda x: -1e200 * float(np.tanh(x).sum()),
+                lambda x: -1e200 / np.cosh(x) ** 2,
+            ),
+            phi=ZeroTerm(2),
+            name="far_step",
+        )
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_step_norm_is_rejected_not_a_prox_failure(self):
+        problem = self.far_step_problem()
+        x1 = subproblem_step(problem, np.zeros(2), problem.f.grad(np.zeros(2)), 1.0)
+        assert np.all(np.isfinite(x1)) and float(x1 @ x1) == math.inf
+        result = solve(problem, SolverParams(), np.zeros(2))
+        assert result.status is RunStatus.BACKTRACK_CAP_EXCEEDED
+        assert result.detail == (
+            "no acceptable stepsize after 100 backtracks (gamma reached 7.889e-31)"
+        )
+        assert result.iterations == 0
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_step_norm_backtracks_to_an_accepted_step(self):
+        result = solve(
+            self.far_step_problem(),
+            SolverParams(max_backtracks=2000, max_outer_iters=50),
+            np.zeros(2),
+        )
+        assert result.status is RunStatus.CONVERGED_RESIDUAL
+        assert result.detail == ""
+        assert [r.backtracks for r in result.trace] == [664, 627, 601]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_gradient_norm_with_finite_entries_is_accepted(self):
+        problem = steep_gradient_problem()
+        x0 = np.full(4, 0.5)
+        result = solve(problem, SolverParams(max_outer_iters=1), x0)
+        g1 = problem.f.grad(result.x_final)
+        assert np.all(np.isfinite(g1)) and float(g1 @ g1) == math.inf
+        assert result.status is RunStatus.MAX_ITERS
+        assert result.detail == ""
+        assert np.array_equal(result.x_final, np.zeros(4))
+        # the next trial steps 1e160 away, where f overflows
+        result = solve(problem, SolverParams(), x0)
+        assert result.status is RunStatus.NUMERICAL_FAILURE
+        assert result.detail == "smooth term overflowed at a trial point"
+        assert result.iterations == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_gradient_entry_at_accepted_point(self, bad):
+        def grad(x):
+            g = x.copy()
+            if abs(x[0]) < 0.25:
+                g[1] = bad
+            return g
+
+        problem = CompositeProblem(
+            f=SmoothModel(3, lambda x: 0.5 * float(x @ x), grad),
+            phi=ZeroTerm(3),
+            name="nonfinite_gradient",
+        )
+        # gamma = 1 steps from ones to 0, which is accepted
+        result = solve(problem, SolverParams(), np.ones(3))
+        assert result.status is RunStatus.NUMERICAL_FAILURE
+        assert result.detail == "gradient overflowed at the accepted point"
+        assert result.iterations == 0
+        assert np.array_equal(result.x_final, np.ones(3))
