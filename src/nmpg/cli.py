@@ -1,4 +1,4 @@
-"""Benchmark harness: config-driven runs, policy comparisons, property checks.
+"""Benchmark harness: config-driven runs and policy comparisons.
 
 Configs are JSON documents; unknown keys are hard errors so a typo in a
 tolerance name cannot silently invalidate an experiment. Traces go to CSV
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -20,8 +19,9 @@ from typing import Union
 
 import numpy as np
 
-from . import diagnostics, prox
+from . import diagnostics
 from .core import (
+    FAILED_STATUSES,
     BarzilaiBorweinSafeguarded,
     CompositeProblem,
     ConstantGamma,
@@ -36,20 +36,17 @@ from .core import (
     Vector,
 )
 from .problems import (
+    PROBLEM_KINDS,
     ProblemSpec,
     ReferenceSolveFailed,
     build_problem,
     cached_reference_optimum,
 )
-from .solver import compute_m, solve
+from .solver import solve
 
 TRACE_HEADER = "k,psi,reference,gamma,backtracks,step_norm,residual,xi"
 
 JOBS_ENV_VAR = "NMPG_JOBS"
-
-FAILED_STATUSES = frozenset(
-    {RunStatus.BACKTRACK_CAP_EXCEEDED, RunStatus.NUMERICAL_FAILURE}
-)
 
 
 class ConfigError(ValueError):
@@ -570,171 +567,53 @@ def cmd_compare(config_path, out_dir=None) -> int:
 # -- property-check suite --------------------------------------------------------
 
 
-def _check_prox_oracles() -> tuple[bool, str]:
-    rng = np.random.default_rng(20240)
-    worst = 0.0
-    cases = []
-    for _ in range(100):
-        v = float(rng.uniform(-3.0, 3.0))
-        gamma = float(rng.uniform(0.05, 2.0))
-        cases.append((v, gamma))
-
-    def gap(term_prox, phi_scalar, v, gamma):
-        z = float(term_prox(gamma, np.array([v]))[0])
-        obj_z = phi_scalar(z) + (z - v) ** 2 / (2.0 * gamma)
-        t = diagnostics.brute_force_prox_1d(
-            phi_scalar, gamma, v, -2.0 * abs(v) - 1.0, 2.0 * abs(v) + 1.0, 1e-4
-        )
-        obj_t = phi_scalar(t) + (t - v) ** 2 / (2.0 * gamma)
-        return obj_z - obj_t
-
-    # numpy-vectorized over grids; brute_force_prox_1d exploits that
-    terms = [
-        (prox.L1Term(1, 0.7), lambda t: 0.7 * np.abs(t)),
-        (prox.L0Term(1, 0.7), lambda t: 0.7 * np.not_equal(t, 0.0).astype(np.float64)),
-        (prox.LHalfTerm(1, 0.7), lambda t: 0.7 * np.sqrt(np.abs(t))),
-        (
-            prox.BoxIndicator(np.array([-1.0]), np.array([1.0])),
-            lambda t: np.where((t >= -1.0) & (t <= 1.0), 0.0, np.inf),
-        ),
-    ]
-    for term, phi_scalar in terms:
-        for v, gamma in cases:
-            worst = max(worst, gap(term.prox, phi_scalar, v, gamma))
-            if worst > 1e-8:
-                return False, f"{type(term).__name__}: objective gap {worst:.3e}"
-
-    # declared tie-breaks
-    if prox.prox_l0(np.array([1.0]), 0.5)[0] != 0.0:
-        return False, "hard-threshold tie must map to 0"
-    if not np.array_equal(prox.prox_sparsity(np.array([1.0, 1.0]), 1), [1.0, 0.0]):
-        return False, "sparsity tie must keep the lower index"
-    return True, f"worst objective gap {worst:.3e}"
-
-
-def _check_sparsity_enumeration() -> tuple[bool, str]:
-    from itertools import combinations
-
-    rng = np.random.default_rng(7)
-    for dim, s in [(5, 2), (8, 3), (12, 4)]:
-        for _ in range(30):
-            v = rng.standard_normal(dim)
-            z = prox.prox_sparsity(v, s)
-            best = min(
-                float(np.sum((np.where(np.isin(np.arange(dim), c), v, 0.0) - v) ** 2))
-                for size in range(s + 1)
-                for c in combinations(range(dim), size)
-            )
-            dist = float(np.sum((z - v) ** 2))
-            if not (
-                dist <= best + 1e-12
-                and np.count_nonzero(z) <= s
-                and np.all((z == 0) | (z == v))
-            ):
-                return False, f"dim={dim}, s={s}: projection mismatch"
-    return True, "matches support enumeration for dim <= 12"
-
-
-def _check_gradients() -> tuple[bool, str]:
-    rng = np.random.default_rng(99)
-    worst = 0.0
-    for kind in (
-        "lasso_identity",
-        "lasso_general",
-        "quartic_scalar",
-        "quartic_regression_l0",
-        "sparsity_projected_quadratic",
-        "exp_fit_l1",
-    ):
-        problem = build_problem(ProblemSpec(kind=kind, dim=8, seed=0))
-        points = [rng.uniform(-0.5, 0.5, problem.dim) for _ in range(20)]
-        err = diagnostics.max_gradient_error(problem.f, points)
-        worst = max(worst, err)
-        if err > 1e-6:
-            return False, f"{kind}: relative error {err:.3e}"
-    return True, f"worst relative error {worst:.3e}"
-
-
-def _check_audits() -> tuple[bool, str]:
-    policies = [
-        SolverParams(max_outer_iters=5000),
-        SolverParams(p_min=1.0, max_outer_iters=5000),
-        SolverParams(reference_policy=MaxReference(5), max_outer_iters=5000),
-    ]
-    for kind in ("lasso_identity", "lasso_general", "quartic_regression_l0"):
-        problem = build_problem(ProblemSpec(kind=kind, dim=8, seed=0))
-        for params in policies:
-            result = solve(problem, params, problem.phi.domain_witness)
-            if result.status == RunStatus.NUMERICAL_FAILURE:
-                return False, f"{kind}: unexpected numerical failure"
-            report = diagnostics.audit_trace(result.trace, params)
-            if not report.passed:
-                bad = [c.name for c in report.checks if not c.passed]
-                return False, f"{kind}: failed {bad}"
-    return True, "descent invariants hold on fresh runs"
-
-
-def _check_m_table() -> tuple[bool, str]:
-    print("  p_min -> lookahead length")
-    for i in range(1, 11):
-        p = i / 10.0
-        m = compute_m(p)
-        r = math.sqrt(1.0 - p)
-        oracle = math.ceil(((1.0 + r) / (1.0 - r)) ** 2) if p < 1.0 else 1
-        print(f"  {p:4.2f} -> {m}")
-        if m != oracle:
-            return False, f"p_min={p}: scan {m} != closed form {oracle}"
-    return True, "matches the closed-form ceiling"
-
-
-def _check_rate_fits() -> tuple[bool, str]:
-    geo = [0.5**k for k in range(120)]
-    report = diagnostics.estimate_q_factor(geo, 0.0)
-    if abs(report.fitted - 0.5) > 1e-12:
-        return False, f"geometric series fit {report.fitted}"
-    power = [float(k) ** -2 for k in range(1, 2001)]
-    report = diagnostics.fit_loglog_slope(power, 0.0, predicted=-2.0, tolerance=1e-6)
-    if not report.passed:
-        return False, f"power-law slope {report.fitted}"
-    return True, "synthetic series recovered"
-
-
-def _check_lasso_identity_solution() -> tuple[bool, str]:
-    problem = build_problem(ProblemSpec(kind="lasso_identity", dim=10, seed=3))
-    params = SolverParams()
-    result = solve(problem, params, np.zeros(problem.dim))
-    if result.status is not RunStatus.CONVERGED_RESIDUAL:
-        return False, f"status {result.status.value}"
-    x_star = problem.optimum.x_star
-    err = float(np.linalg.norm(result.x_final - x_star))
-    b = np.asarray(problem.f.grad(np.zeros(problem.dim))) * -1.0
-    gap = diagnostics.l1_shrinkage_optimality_gap(
-        result.x_final, b, problem.phi.lam
-    )
-    if err > 1e-6:
-        return False, f"distance to closed form {err:.3e}"
-    if gap > params.epsilon + 1e-12:
-        return False, f"optimality gap {gap:.3e}"
-    return True, f"distance {err:.1e}, optimality gap {gap:.1e}"
-
-
 def cmd_check(name_filter=None) -> int:
     """Run the property suite and print one pass/fail line per check."""
-    checks = [
-        ("prox_oracles", _check_prox_oracles),
-        ("sparsity_enumeration", _check_sparsity_enumeration),
-        ("gradient_checks", _check_gradients),
-        ("descent_audits", _check_audits),
-        ("m_constant_table", _check_m_table),
-        ("rate_fit_sanity", _check_rate_fits),
-        ("lasso_identity_solution", _check_lasso_identity_solution),
-    ]
+    # imported here, so that `run` and `compare` do not compile the checks
+    from . import checks
+
+    rng = np.random.default_rng
+
+    def problems(*kinds, dim=8, seed=0):
+        return [build_problem(ProblemSpec(kind=k, dim=dim, seed=seed)) for k in kinds]
+
+    def audited_runs():
+        for problem in problems("lasso_identity", "lasso_general", "quartic_regression_l0"):
+            for name, params in [
+                ("mean", SolverParams(max_outer_iters=5000)),
+                ("monotone", SolverParams(p_min=1.0, max_outer_iters=5000)),
+                ("max_5", SolverParams(reference_policy=MaxReference(5), max_outer_iters=5000)),
+            ]:
+                yield problem, name, params, solve(problem, params, problem.phi.domain_witness)
+
+    suite = {
+        "prox_oracles": lambda: checks.prox_oracles(rng(20240), n_cases=100),
+        "sparsity_enumeration": lambda: checks.sparsity_enumeration(
+            rng(7), [(5, 2), (8, 3), (12, 4)], draws=30
+        ),
+        "gradient_checks": lambda: checks.gradient_checks(
+            problems(*PROBLEM_KINDS), rng(99), n_points=20
+        ),
+        "descent_audits": lambda: checks.descent_audits(audited_runs()),
+        "m_constant_table": lambda: checks.m_constant_table(
+            [i / 10.0 for i in range(1, 11)], spots=[(1.0, 1), (0.75, 9), (0.96, 3)]
+        ),
+        "rate_fit_sanity": lambda: checks.rate_fit_sanity(
+            [0.5**k for k in range(120)], 0.5, [float(k) ** -2 for k in range(1, 2001)], -2.0
+        ),
+        "lasso_identity_solution": lambda: checks.lasso_identity_solution(
+            problems("lasso_identity", dim=10, seed=3)[0], [np.zeros(10)], SolverParams()
+        ),
+    }
+    selected = [name for name in suite if not name_filter or name_filter in name]
+    if not selected:
+        print(f"no check matches filter '{name_filter}'", file=sys.stderr)
+        print("checks: " + ", ".join(suite), file=sys.stderr)
+        return 3
     all_ok = True
-    for name, fn in checks:
-        if name_filter and name_filter not in name:
-            continue
+    for name in selected:
         try:
-            ok, detail = fn()
+            ok, detail = suite[name]()
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         all_ok &= ok

@@ -278,6 +278,12 @@ class RunStatus(enum.Enum):
     NUMERICAL_FAILURE = "numerical_failure"
 
 
+# statuses that mean the solve broke down, as opposed to stopping at a limit
+FAILED_STATUSES = frozenset(
+    {RunStatus.BACKTRACK_CAP_EXCEEDED, RunStatus.NUMERICAL_FAILURE}
+)
+
+
 @dataclass(frozen=True)
 class IterationRecord:
     """One row of the per-iteration ledger.

@@ -2,9 +2,7 @@
 pass/fail line (use `pytest -s tests/test_acceptance.py` to see them live)."""
 
 import json
-import math
 import time
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,25 +14,19 @@ from nmpg import (
     SolverParams,
     build_problem,
     cached_reference_optimum,
-    compute_m,
     make_sparsity_projected_quadratic,
-    prox_l0,
-    prox_l1,
-    prox_lhalf,
-    prox_box,
-    prox_sparsity,
     solve,
 )
-from nmpg.cli import SeededStart, ZerosStart, cmd_run, make_x0
-from nmpg.diagnostics import (
-    audit_trace,
-    brute_force_prox_1d,
-    estimate_q_factor,
-    fit_loglog_slope,
-    iterate_distance_series,
-    l1_shrinkage_optimality_gap,
-    max_gradient_error,
+from nmpg.checks import (
+    descent_audits,
+    gradient_checks,
+    lasso_identity_solution,
+    m_constant_table,
+    prox_oracles,
+    sparsity_enumeration,
 )
+from nmpg.cli import SeededStart, ZerosStart, cmd_run, make_x0
+from nmpg.diagnostics import estimate_q_factor, fit_loglog_slope, iterate_distance_series
 
 
 def _report(name, ok, detail=""):
@@ -84,93 +76,32 @@ def suite_runs():
 
 def test_criterion_1_descent_invariant_audits(suite_runs):
     runs, elapsed = suite_runs
-    failures = []
-    for problem, policy_name, params, result in runs:
-        if result.status in (
-            RunStatus.BACKTRACK_CAP_EXCEEDED,
-            RunStatus.NUMERICAL_FAILURE,
-        ):
-            failures.append(f"{problem.name}/{policy_name}: {result.status.value}")
-            continue
-        report = audit_trace(result.trace, params)
-        if not report.passed:
-            bad = [c.name for c in report.checks if not c.passed]
-            failures.append(f"{problem.name}/{policy_name}: {bad}")
-    ok = not failures and len(runs) == 54 and elapsed < 60.0
+    ok, detail = descent_audits(runs)
     _report(
         "criterion 1: descent audits on 6 problems x 3 policies x 3 starts",
-        ok,
-        failures[:3] if failures else f"{len(runs)} runs audited in {elapsed:.1f}s",
+        ok and len(runs) == 54 and elapsed < 60.0,
+        f"{detail}, {elapsed:.1f}s",
     )
 
 
 def test_criterion_2_prox_oracle_equivalence():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(20240)
-    cases = [
-        (float(rng.uniform(-3, 3)), float(rng.uniform(0.05, 2.0))) for _ in range(100)
-    ]
-    kernels = [
-        ("soft_threshold", lambda v, g: prox_l1(np.array([v]), g)[0],
-         lambda t: np.abs(t)),
-        ("hard_threshold", lambda v, g: prox_l0(np.array([v]), g)[0],
-         lambda t: np.not_equal(t, 0.0).astype(np.float64)),
-        ("half_power", lambda v, g: prox_lhalf(np.array([v]), g)[0],
-         lambda t: np.sqrt(np.abs(t))),
-        ("box_clamp",
-         lambda v, g: prox_box(np.array([v]), np.array([-1.0]), np.array([1.0]))[0],
-         lambda t: np.where((t >= -1.0) & (t <= 1.0), 0.0, np.inf)),
-    ]
-    worst = 0.0
-    for name, kernel, phi in kernels:
-        for v, gamma in cases:
-            z = float(kernel(v, gamma))
-            t = brute_force_prox_1d(
-                phi, gamma, v, -2 * abs(v) - 1, 2 * abs(v) + 1, 1e-4
-            )
-            gap = (float(phi(z)) + (z - v) ** 2 / (2 * gamma)) - (
-                float(phi(t)) + (t - v) ** 2 / (2 * gamma)
-            )
-            worst = max(worst, gap)
-
-    enum_ok = True
-    for dim, s in [(5, 2), (8, 3), (12, 4)]:
-        for _ in range(25):
-            v = rng.standard_normal(dim)
-            z = prox_sparsity(v, s)
-            best = min(
-                float(np.sum((np.where(np.isin(np.arange(dim), c), v, 0.0) - v) ** 2))
-                for size in range(s + 1)
-                for c in combinations(range(dim), size)
-            )
-            enum_ok &= (
-                float(np.sum((z - v) ** 2)) <= best + 1e-12
-                and np.count_nonzero(z) <= s
-                and bool(np.all((z == 0.0) | (z == v)))
-            )
-    enum_ok &= bool(
-        np.array_equal(prox_sparsity(np.array([1.0, 1.0]), 1), [1.0, 0.0])
-    )
+    rng = np.random.default_rng(20240)  # one stream: the oracle cases, then enumeration
+    prox_ok, prox_detail = prox_oracles(rng, n_cases=100)
+    enum_ok, enum_detail = sparsity_enumeration(rng, [(5, 2), (8, 3), (12, 4)], draws=25)
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-8 and enum_ok and elapsed < 30.0
     _report(
         "criterion 2: prox kernels match the brute-force oracles",
-        ok,
-        f"worst objective gap {worst:.2e}, enumeration ok, {elapsed:.1f}s",
+        prox_ok and enum_ok and elapsed < 30.0,
+        f"{prox_detail}; {enum_detail}; {elapsed:.1f}s",
     )
 
 
 def test_criterion_3_gradient_oracle():
-    rng = np.random.default_rng(99)
-    worst = 0.0
-    for kind, kw in SUITE_KINDS:
-        problem = build_problem(ProblemSpec(kind=kind, **kw))
-        points = [rng.uniform(-0.5, 0.5, problem.dim) for _ in range(20)]
-        worst = max(worst, max_gradient_error(problem.f, points))
+    problems = [build_problem(ProblemSpec(kind=kind, **kw)) for kind, kw in SUITE_KINDS]
     _report(
         "criterion 3: gradients match central differences at 20 points each",
-        worst <= 1e-6,
-        f"worst relative error {worst:.2e}",
+        *gradient_checks(problems, np.random.default_rng(99), n_points=20),
     )
 
 
@@ -230,37 +161,21 @@ def test_criterion_6_stationarity_of_limits(suite_runs):
         if result.status is RunStatus.CONVERGED_RESIDUAL
     )
 
-    problem = build_problem(ProblemSpec(kind="lasso_identity", dim=10, seed=2))
-    params = SolverParams()  # epsilon 1e-8
-    b = -problem.f.grad(np.zeros(10))
-    lam = problem.phi.lam
-    worst_dist, worst_gap = 0.0, 0.0
-    for seed in range(10):
-        x0 = np.random.default_rng(seed).standard_normal(10)
-        result = solve(problem, params, x0)
-        assert result.status is RunStatus.CONVERGED_RESIDUAL
-        worst_dist = max(
-            worst_dist, float(np.linalg.norm(result.x_final - problem.optimum.x_star))
-        )
-        worst_gap = max(
-            worst_gap, l1_shrinkage_optimality_gap(result.x_final, b, lam)
-        )
+    solution_ok, solution_detail = lasso_identity_solution(
+        build_problem(ProblemSpec(kind="lasso_identity", dim=10, seed=2)),
+        [np.random.default_rng(seed).standard_normal(10) for seed in range(10)],
+        SolverParams(),  # epsilon 1e-8
+    )
 
     # step norms decay into the tail on a convex run with a nontrivial tail
     general = build_problem(ProblemSpec(kind="lasso_general", dim=20, seed=0))
     tail_run = solve(general, SolverParams(), np.zeros(20))
     assert tail_run.status is RunStatus.CONVERGED_RESIDUAL
     final_step = tail_run.trace[-1].step_norm
-    ok = (
-        residual_ok
-        and worst_dist <= 1e-6
-        and worst_gap <= params.epsilon + 1e-12
-        and final_step < 1e-6
-    )
     _report(
         "criterion 6: converged runs are approximately stationary",
-        ok,
-        f"worst distance {worst_dist:.2e}, worst optimality gap {worst_gap:.2e}",
+        residual_ok and solution_ok and final_step < 1e-6,
+        f"{solution_detail}, final step {final_step:.1e}",
     )
 
 
@@ -293,20 +208,11 @@ def test_criterion_7_monotone_reduction(suite_runs):
 
 
 def test_criterion_8_lookahead_constant():
-    def brute_force_m(p):
-        r = math.sqrt(1.0 - p)
-        candidates = [l for l in range(1, 20_000) if (1 - r) * math.sqrt(l) >= 1 + r]
-        return candidates[0]
-
-    grid_ok = all(
-        compute_m(round(0.05 * i, 2)) == brute_force_m(round(0.05 * i, 2))
-        for i in range(1, 21)
-    )
-    spots_ok = compute_m(1.0) == 1 and compute_m(0.75) == 9 and compute_m(0.96) == 3
     _report(
-        "criterion 8: lookahead length matches the brute-force scan",
-        grid_ok and spots_ok,
-        "p_min grid 0.05..1.0 plus spot values (1, 9, 3)",
+        "criterion 8: lookahead length matches the closed-form ceiling",
+        *m_constant_table(
+            [round(0.05 * i, 2) for i in range(1, 21)], [(1.0, 1), (0.75, 9), (0.96, 3)]
+        ),
     )
 
 

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import nmpg.cli
 import nmpg.problems
 import nmpg.prox
 from nmpg import (
@@ -336,6 +338,19 @@ class TestCmdCheck:
         out = capsys.readouterr().out
         assert "[FAIL]" not in out
         assert "m_constant_table" in out
+        # the seven checks in order, one line each
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            f"[PASS] {name}"
+            for name in (
+                "prox_oracles",
+                "sparsity_enumeration",
+                "gradient_checks",
+                "descent_audits",
+                "m_constant_table",
+                "rate_fit_sanity",
+                "lasso_identity_solution",
+            )
+        ]
 
     def test_flipped_tiebreak_detected(self, monkeypatch):
         original = nmpg.prox.prox_l0
@@ -357,6 +372,24 @@ class TestCmdCheck:
         out = capsys.readouterr().out
         assert "rate_fit_sanity" in out
         assert "gradient_checks" not in out
+
+    def test_filter_matching_no_check_exits_3(self, capsys):
+        assert cmd_check("nosuchcheck") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no check matches filter 'nosuchcheck'" in captured.err
+        assert "prox_oracles, sparsity_enumeration," in captured.err
+
+    def test_backtrack_capped_audit_run_fails(self, monkeypatch, capsys):
+        def capped(problem, params, x0, *args):
+            params = dataclasses.replace(params, epsilon=0.0, max_backtracks=3)
+            return solve(problem, params, x0, *args)
+
+        monkeypatch.setattr(nmpg.cli, "solve", capped)
+        assert cmd_check("descent_audits") == 3
+        out = capsys.readouterr().out
+        assert out.startswith("[FAIL] descent_audits:")
+        assert "lasso_general(dim=8,seed=0,lam=0.1)/monotone: backtrack_cap_exceeded" in out
 
 
 class TestMain:
