@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
 
 import numpy as np
 
@@ -46,8 +45,6 @@ from .solver import solve
 
 TRACE_HEADER = "k,psi,reference,gamma,backtracks,step_norm,residual,xi"
 
-JOBS_ENV_VAR = "NMPG_JOBS"
-
 
 class ConfigError(ValueError):
     """A config document failed validation; the message names the field."""
@@ -70,172 +67,137 @@ class DomainWitnessStart:
 class SeededStart:
     seed: int
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 
-X0Policy = Union[ZerosStart, DomainWitnessStart, SeededStart]
+
+X0Policy = typing.Union[ZerosStart, DomainWitnessStart, SeededStart]
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment. Its fields, and those of the classes they hold, are the
+    config schema: each key, type and default is stated here once."""
+
     problem: ProblemSpec
-    params: SolverParams
-    x0_policy: X0Policy
-    record_iterates: bool
-    out_dir: str
-    repeats: int
+    params: SolverParams = SolverParams()
+    x0_policy: X0Policy = ZerosStart()
+    record_iterates: bool = False
+    out_dir: str = "runs"
+    repeats: int = 1
 
     def __post_init__(self):
         if self.repeats < 1:
-            raise ConfigError("repeats must be a positive integer")
+            raise ValueError("repeats must be a positive integer")
 
 
-def _check_keys(doc: dict, allowed: set[str], path: str) -> None:
-    for key in doc:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{path}{key}'")
+# The config schema is the fields of the dataclasses above. A document key is
+# the field name, except for these:
+_KEYS = {"lam": "lambda", "x0_policy": "x0"}
 
+# Each union field: the key that names its variant, and the variants by name.
+# A variant is written as its name when it has no fields, and can always be
+# written as an object {tag: name, **fields}.
+_UNIONS = {
+    "gamma_init_policy": (
+        "policy",
+        {
+            "constant": ConstantGamma,
+            "previous_accepted": PreviousAccepted,
+            "barzilai_borwein": BarzilaiBorweinSafeguarded,
+        },
+    ),
+    "reference_policy": ("rule", {"mean": MeanReference, "max": MaxReference}),
+    "x0_policy": (
+        "policy",
+        {
+            "zeros": ZerosStart,
+            "domain_witness": DomainWitnessStart,
+            "seeded": SeededStart,
+        },
+    ),
+}
 
-def _as_int(value, path: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path} must be an integer, got {value!r}") from exc
+# Resolved once per class: resolving the string annotations takes ten times
+# as long as the rest of a parse.
+_type_hints = functools.cache(typing.get_type_hints)
 
-
-def _as_float(value, path: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path} must be a number, got {value!r}") from exc
-
-
-def _parse_problem(doc: dict) -> ProblemSpec:
-    _check_keys(doc, {"kind", "dim", "seed", "lambda", "s"}, "problem.")
-    if "kind" not in doc:
-        raise ConfigError("problem.kind is required")
-    try:
-        return ProblemSpec(
-            kind=doc["kind"],
-            dim=_as_int(doc.get("dim", 10), "problem.dim"),
-            seed=_as_int(doc.get("seed", 0), "problem.seed"),
-            lam=None
-            if doc.get("lambda") is None
-            else _as_float(doc["lambda"], "problem.lambda"),
-            s=None if doc.get("s") is None else _as_int(doc["s"], "problem.s"),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"problem: {exc}") from exc
-
-
-def _parse_gamma_policy(doc) -> object:
-    if isinstance(doc, str):
-        if doc == "previous_accepted":
-            return PreviousAccepted()
-        if doc == "barzilai_borwein":
-            return BarzilaiBorweinSafeguarded()
-        raise ConfigError(
-            f"params.gamma_init_policy: unknown policy {doc!r}"
-        )
-    if isinstance(doc, dict):
-        _check_keys(doc, {"policy", "value"}, "params.gamma_init_policy.")
-        if doc.get("policy") == "constant":
-            if "value" not in doc:
-                raise ConfigError("params.gamma_init_policy.value is required")
-            return ConstantGamma(
-                _as_float(doc["value"], "params.gamma_init_policy.value")
-            )
-        raise ConfigError(
-            f"params.gamma_init_policy: unknown policy {doc.get('policy')!r}"
-        )
-    raise ConfigError("params.gamma_init_policy must be a string or object")
-
-
-def _parse_reference_policy(doc) -> object:
-    if isinstance(doc, str):
-        if doc == "mean":
-            return MeanReference()
-        raise ConfigError(f"params.reference_policy: unknown rule {doc!r}")
-    if isinstance(doc, dict):
-        _check_keys(doc, {"rule", "window"}, "params.reference_policy.")
-        rule = doc.get("rule")
-        if rule == "mean":
-            return MeanReference()
-        if rule == "max":
-            if "window" not in doc:
-                raise ConfigError("params.reference_policy.window is required")
-            return MaxReference(
-                _as_int(doc["window"], "params.reference_policy.window")
-            )
-        raise ConfigError(f"params.reference_policy: unknown rule {rule!r}")
-    raise ConfigError("params.reference_policy must be a string or object")
-
-
-_PARAM_POLICIES = {"gamma_init_policy", "reference_policy"}
-# Every other SolverParams field is a number of the type of its default.
-_PARAM_SCALARS = {
-    f.name: type(f.default)
-    for f in dataclasses.fields(SolverParams)
-    if f.name not in _PARAM_POLICIES
+# The JSON types each scalar field type takes, and how an error names them.
+_SCALARS = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
 }
 
 
-def _parse_params(doc: dict) -> SolverParams:
-    _check_keys(doc, _PARAM_SCALARS.keys() | _PARAM_POLICIES, "params.")
-    kwargs = {}
-    for key, kind in _PARAM_SCALARS.items():
-        if key in doc:
-            as_number = _as_int if kind is int else _as_float
-            kwargs[key] = as_number(doc[key], f"params.{key}")
-    if "gamma_init_policy" in doc:
-        kwargs["gamma_init_policy"] = _parse_gamma_policy(doc["gamma_init_policy"])
-    if "reference_policy" in doc:
-        kwargs["reference_policy"] = _parse_reference_policy(doc["reference_policy"])
+def _scalar(kind, value, path: str):
+    if type(None) in typing.get_args(kind):  # an optional field
+        if value is None:
+            return None
+        (kind,) = (arg for arg in typing.get_args(kind) if arg is not type(None))
+    accepted, what = _SCALARS[kind]
+    if type(value) not in accepted:
+        raise ConfigError(f"{path} must be {what}, got {value!r}")
     try:
-        return SolverParams(**kwargs)
+        return kind(value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ConfigError(f"{path} must be a number in the float range") from exc
+
+
+def _parse(cls, doc, prefix: str):
+    """Build `cls` from a document; `prefix` is the path of its keys."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{prefix[:-1] or 'config root'} must be an object")
+    fields = {_KEYS.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    for key in doc:
+        if key not in fields:
+            raise ConfigError(f"unknown key '{prefix}{key}'")
+    kinds = _type_hints(cls)
+    kwargs = {}
+    for key, field in fields.items():
+        path = prefix + key
+        if key not in doc:
+            if field.default is dataclasses.MISSING:
+                raise ConfigError(f"{path} is required")
+            continue
+        kind = kinds[field.name]
+        if field.name in _UNIONS:
+            kwargs[field.name] = _parse_variant(field.name, doc[key], path)
+        elif dataclasses.is_dataclass(kind):
+            kwargs[field.name] = _parse(kind, doc[key], path + ".")
+        else:
+            kwargs[field.name] = _scalar(kind, doc[key], path)
+    try:
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"params: {exc}") from exc
+        # a message that starts with a key gets its path ("x0.seed must be
+        # ..."); any other follows the path of the object ("problem: ...")
+        message = str(exc).removeprefix(f"{cls.__name__}.")
+        if not prefix or message.split(" ", 1)[0] in fields:
+            raise ConfigError(prefix + message) from exc
+        raise ConfigError(f"{prefix[:-1]}: {message}") from exc
 
 
-def _parse_x0(doc) -> X0Policy:
+def _parse_variant(name: str, doc, path: str):
+    tag, variants = _UNIONS[name]
     if isinstance(doc, str):
-        if doc == "zeros":
-            return ZerosStart()
-        if doc == "domain_witness":
-            return DomainWitnessStart()
-        raise ConfigError(f"x0.policy: unknown policy {doc!r}")
-    if isinstance(doc, dict):
-        _check_keys(doc, {"policy", "seed"}, "x0.")
-        policy = doc.get("policy")
-        if policy == "zeros":
-            return ZerosStart()
-        if policy == "domain_witness":
-            return DomainWitnessStart()
-        if policy == "seeded":
-            if "seed" not in doc:
-                raise ConfigError("x0.seed is required for the seeded policy")
-            return SeededStart(_as_int(doc["seed"], "x0.seed"))
-        raise ConfigError(f"x0.policy: unknown policy {policy!r}")
-    raise ConfigError("x0 must be a string or object")
+        variant, doc = doc, {}
+    elif isinstance(doc, dict):
+        if tag not in doc:
+            raise ConfigError(f"{path}.{tag} is required")
+        doc = dict(doc)
+        variant = doc.pop(tag)
+    else:
+        raise ConfigError(f"{path} must be a string or object")
+    if not isinstance(variant, str) or variant not in variants:
+        raise ConfigError(f"{path}: unknown {tag} {variant!r}")
+    return _parse(variants[variant], doc, path + ".")
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be an object")
-    _check_keys(
-        doc,
-        {"problem", "params", "x0", "record_iterates", "out_dir", "repeats"},
-        "",
-    )
-    if "problem" not in doc:
-        raise ConfigError("problem is required")
-    problem = _parse_problem(doc["problem"])
-    params = _parse_params(doc.get("params", {}))
-    x0_policy = _parse_x0(doc.get("x0", "zeros"))
-    record = bool(doc.get("record_iterates", False))
-    out_dir = str(doc.get("out_dir", "runs"))
-    repeats = _as_int(doc.get("repeats", 1), "repeats")
-    return ExperimentConfig(problem, params, x0_policy, record, out_dir, repeats)
+    return _parse(ExperimentConfig, doc, "")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -249,47 +211,22 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(doc)
 
 
-def config_to_dict(config: ExperimentConfig) -> dict:
+def config_to_dict(config) -> dict:
     """Serialize back to the canonical document shape (round-trips)."""
-    p = config.params
-    gamma_policy: object
-    if isinstance(p.gamma_init_policy, ConstantGamma):
-        gamma_policy = {"policy": "constant", "value": p.gamma_init_policy.value}
-    elif isinstance(p.gamma_init_policy, PreviousAccepted):
-        gamma_policy = "previous_accepted"
-    else:
-        gamma_policy = "barzilai_borwein"
-    if isinstance(p.reference_policy, MaxReference):
-        ref_policy: object = {"rule": "max", "window": p.reference_policy.window}
-    else:
-        ref_policy = "mean"
-    if isinstance(config.x0_policy, SeededStart):
-        x0: object = {"policy": "seeded", "seed": config.x0_policy.seed}
-    elif isinstance(config.x0_policy, DomainWitnessStart):
-        x0 = "domain_witness"
-    else:
-        x0 = "zeros"
-    problem: dict = {
-        "kind": config.problem.kind,
-        "dim": config.problem.dim,
-        "seed": config.problem.seed,
-    }
-    if config.problem.lam is not None:
-        problem["lambda"] = config.problem.lam
-    if config.problem.s is not None:
-        problem["s"] = config.problem.s
-    return {
-        "problem": problem,
-        "params": {
-            **{key: getattr(p, key) for key in _PARAM_SCALARS},
-            "gamma_init_policy": gamma_policy,
-            "reference_policy": ref_policy,
-        },
-        "x0": x0,
-        "record_iterates": config.record_iterates,
-        "out_dir": config.out_dir,
-        "repeats": config.repeats,
-    }
+    doc = {}
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if value is None:  # an unset optional field
+            continue
+        if field.name in _UNIONS:
+            tag, variants = _UNIONS[field.name]
+            variant = next(n for n, cls in variants.items() if type(value) is cls)
+            fields = config_to_dict(value)
+            value = {tag: variant, **fields} if fields else variant
+        elif dataclasses.is_dataclass(value):
+            value = config_to_dict(value)
+        doc[_KEYS.get(field.name, field.name)] = value
+    return doc
 
 
 # -- trace persistence ----------------------------------------------------------
@@ -337,16 +274,6 @@ def make_x0(problem: CompositeProblem, policy: X0Policy, repeat: int) -> Vector:
     # project the draw through the prox so indicator-type terms get a
     # feasible start; penalties only see a mild shrinkage
     return problem.phi.prox(1.0, rng.standard_normal(problem.dim))
-
-
-def _n_jobs(n_runs: int) -> int:
-    env = os.environ.get(JOBS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, min(n_runs, os.cpu_count() or 1))
 
 
 def _rate_fits(
@@ -445,12 +372,15 @@ def cmd_run(config_path, out_dir=None) -> int:
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    def one_run(i: int) -> RunResult:
-        x0 = make_x0(problem, config.x0_policy, i)
-        return solve(problem, config.params, x0, config.record_iterates)
-
-    with ThreadPoolExecutor(max_workers=_n_jobs(config.repeats)) as pool:
-        results = list(pool.map(one_run, range(config.repeats)))
+    results = [
+        solve(
+            problem,
+            config.params,
+            make_x0(problem, config.x0_policy, i),
+            config.record_iterates,
+        )
+        for i in range(config.repeats)
+    ]
 
     runs = []
     for i, result in enumerate(results):

@@ -8,9 +8,13 @@ import nmpg.cli
 import nmpg.problems
 import nmpg.prox
 from nmpg import (
+    BarzilaiBorweinSafeguarded,
     CompositeProblem,
     ConstantGamma,
+    MaxReference,
+    MeanReference,
     NonsmoothTerm,
+    PreviousAccepted,
     ProblemSpec,
     RunStatus,
     SmoothModel,
@@ -20,7 +24,10 @@ from nmpg import (
 )
 from nmpg.cli import (
     ConfigError,
+    DomainWitnessStart,
+    ExperimentConfig,
     SeededStart,
+    ZerosStart,
     _evaluation_counts,
     cmd_check,
     cmd_compare,
@@ -51,11 +58,73 @@ BASE_CONFIG = {
     "repeats": 1,
 }
 
+# Every variant of the three unions: its config key, tag, name and fields.
+VARIANTS = [
+    ("gamma_init_policy", "policy", "barzilai_borwein", {}, BarzilaiBorweinSafeguarded()),
+    ("gamma_init_policy", "policy", "previous_accepted", {}, PreviousAccepted()),
+    ("gamma_init_policy", "policy", "constant", {"value": 0.5}, ConstantGamma(0.5)),
+    ("reference_policy", "rule", "mean", {}, MeanReference()),
+    ("reference_policy", "rule", "max", {"window": 7}, MaxReference(7)),
+    ("x0", "policy", "zeros", {}, ZerosStart()),
+    ("x0", "policy", "domain_witness", {}, DomainWitnessStart()),
+    ("x0", "policy", "seeded", {"seed": 3}, SeededStart(3)),
+]
+
+
+def with_variant(key, form):
+    if key == "x0":
+        return dict(BASE_CONFIG, x0=form)
+    return dict(BASE_CONFIG, params={key: form})
+
 
 class TestConfigParsing:
     def test_round_trip(self):
         config = parse_config(BASE_CONFIG)
         assert parse_config(config_to_dict(config)) == config
+
+    def test_defaults_come_from_the_dataclasses(self):
+        config = parse_config({"problem": {"kind": "lasso_identity"}})
+        assert config == ExperimentConfig(ProblemSpec(kind="lasso_identity"))
+
+    @pytest.mark.parametrize("key, tag, name, fields, expected", VARIANTS)
+    def test_every_variant_round_trips_in_both_forms(
+        self, key, tag, name, fields, expected
+    ):
+        # the object form works for every variant, the string form for those
+        # without fields
+        forms = [{tag: name, **fields}] + ([] if fields else [name])
+        for form in forms:
+            config = parse_config(with_variant(key, form))
+            parsed = (
+                config.x0_policy if key == "x0" else getattr(config.params, key)
+            )
+            assert parsed == expected
+            assert parse_config(config_to_dict(config)) == config
+
+    @pytest.mark.parametrize(
+        "key, tag, name, fields, expected", [v for v in VARIANTS if v[3]]
+    )
+    def test_string_form_needs_the_variant_fields(
+        self, key, tag, name, fields, expected
+    ):
+        path = key if key == "x0" else f"params.{key}"
+        (field,) = fields
+        with pytest.raises(ConfigError, match=rf"^{path}\.{field} is required$"):
+            parse_config(with_variant(key, name))
+
+    @pytest.mark.parametrize(
+        "key, form, unknown",
+        [
+            ("reference_policy", {"rule": "mean", "window": 3}, "window"),
+            ("gamma_init_policy", {"policy": "barzilai_borwein", "value": 0.5}, "value"),
+            ("x0", {"policy": "zeros", "seed": 3}, "seed"),
+            ("x0", {"policy": "domain_witness", "seed": 3}, "seed"),
+        ],
+    )
+    def test_variant_rejects_keys_it_lacks(self, key, form, unknown):
+        path = key if key == "x0" else f"params.{key}"
+        with pytest.raises(ConfigError, match=rf"unknown key '{path}\.{unknown}'"):
+            parse_config(with_variant(key, form))
 
     def test_unknown_top_level_key(self):
         doc = dict(BASE_CONFIG, tolerance=1e-8)
@@ -125,6 +194,21 @@ class TestConfigParsing:
             (dict(BASE_CONFIG, params={"reference_policy": {"rule": "max",
                                                             "window": "wide"}}),
              "params.reference_policy.window"),
+            (dict(BASE_CONFIG, x0={"policy": "seeded", "seed": -1}), "x0.seed"),
+            (dict(BASE_CONFIG, record_iterates="no"), "record_iterates"),
+            (dict(BASE_CONFIG, record_iterates=1), "record_iterates"),
+            (dict(BASE_CONFIG, params={"max_outer_iters": 2.7}),
+             "params.max_outer_iters"),
+            (dict(BASE_CONFIG, params={"max_backtracks": True}),
+             "params.max_backtracks"),
+            (dict(BASE_CONFIG, repeats=2.5), "repeats"),
+            (dict(BASE_CONFIG, params={"epsilon": "1e-8"}), "params.epsilon"),
+            (dict(BASE_CONFIG, params={"epsilon": 10**400}), "params.epsilon"),
+            (dict(BASE_CONFIG, out_dir=5), "out_dir"),
+            (dict(BASE_CONFIG, params=None), "params"),
+            (dict(BASE_CONFIG, params={"reference_policy": {"rule": "median"}}),
+             "params.reference_policy: unknown rule 'median'"),
+            (dict(BASE_CONFIG, x0={"seed": 3}), "x0.policy is required"),
         ],
     )
     def test_wrong_value_types_name_the_field(self, doc, field):
@@ -217,6 +301,24 @@ class TestCmdRun:
         code = cmd_run(write_config(tmp_path, config))
         assert code == 1
         assert "gamma_min" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (
+                {"reference_policy": {"rule": "max", "window": 0}},
+                "params.reference_policy.window must be a positive integer",
+            ),
+            (
+                {"gamma_init_policy": {"policy": "constant", "value": -1}},
+                "params.gamma_init_policy.value must be a positive finite real",
+            ),
+        ],
+    )
+    def test_invalid_variant_is_config_error(self, tmp_path, capsys, params, message):
+        code = cmd_run(write_config(tmp_path, dict(BASE_CONFIG, params=params)))
+        assert code == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_forced_backtrack_failure_exit_2(self, tmp_path, capsys):
         config = dict(
@@ -402,39 +504,34 @@ class TestMain:
         assert main(["check", "--filter", "m_constant"]) == 0
 
 
-class TestParallelism:
-    def test_jobs_env_override(self, monkeypatch):
-        from nmpg.cli import _n_jobs
-
-        monkeypatch.setenv("NMPG_JOBS", "2")
-        assert _n_jobs(8) == 2
-        monkeypatch.setenv("NMPG_JOBS", "not-a-number")
-        assert _n_jobs(8) >= 1
-
-    def test_parallel_repeats_stay_deterministic(self, tmp_path, monkeypatch):
-        # the repeats share one problem, and with it its evaluation memo
-        kinds = [
+class TestRepeats:
+    @pytest.mark.parametrize(
+        "kind",
+        [
             "lasso_general",
             "quartic_regression_l0",
             "sparsity_projected_quadratic",
             "exp_fit_l1",
-        ]
-        for kind in kinds:
-            config = dict(
-                BASE_CONFIG,
-                problem={"kind": kind, "dim": 8, "seed": 0},
-                x0={"policy": "seeded", "seed": 100},
-                repeats=4,
-            )
-            path = write_config(tmp_path, config, name=f"{kind}.json")
-            for jobs in ("4", "1"):
-                monkeypatch.setenv("NMPG_JOBS", jobs)
-                assert cmd_run(path, out_dir=str(tmp_path / kind / jobs)) == 0
-            for i in range(4):
-                name = f"trace_{i:03d}.csv"
-                assert (tmp_path / kind / "4" / name).read_bytes() == (
-                    tmp_path / kind / "1" / name
-                ).read_bytes()
+        ],
+    )
+    def test_shared_memo_repeats_match_fresh_solves(self, tmp_path, kind):
+        # the repeats share one problem, and with it its evaluation memo; each
+        # must write the trace of a solve on a freshly built problem
+        config = dict(
+            BASE_CONFIG,
+            problem={"kind": kind, "dim": 8, "seed": 0},
+            x0={"policy": "seeded", "seed": 100},
+            repeats=4,
+        )
+        assert cmd_run(write_config(tmp_path, config), out_dir=str(tmp_path / "o")) == 0
+        params = parse_config(config).params
+        for i in range(4):
+            fresh = build_problem(ProblemSpec(kind=kind, dim=8, seed=0))
+            result = solve(fresh, params, make_x0(fresh, SeededStart(100), i))
+            write_trace_csv(tmp_path / "fresh.csv", result.trace)
+            assert (tmp_path / "o" / f"trace_{i:03d}.csv").read_bytes() == (
+                tmp_path / "fresh.csv"
+            ).read_bytes()
 
 
 class CountingTerm(NonsmoothTerm):
