@@ -31,8 +31,8 @@ from .core import (
     RunResult,
     RunStatus,
     SolverParams,
-    Trace,
     Vector,
+    trace_columns,
 )
 from .problems import (
     PROBLEM_KINDS,
@@ -83,7 +83,6 @@ class ExperimentConfig:
     problem: ProblemSpec
     params: SolverParams = SolverParams()
     x0_policy: X0Policy = ZerosStart()
-    record_iterates: bool = False
     out_dir: str = "runs"
     repeats: int = 1
 
@@ -125,7 +124,6 @@ _type_hints = functools.cache(typing.get_type_hints)
 
 # The JSON types each scalar field type takes, and how an error names them.
 _SCALARS = {
-    bool: ((bool,), "true or false"),
     int: ((int,), "an integer"),
     float: ((int, float), "a number"),
     str: ((str,), "a string"),
@@ -208,6 +206,11 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"config is not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+            f"at offset {exc.start}"
+        ) from exc
     return parse_config(doc)
 
 
@@ -232,9 +235,9 @@ def config_to_dict(config) -> dict:
 # -- trace persistence ----------------------------------------------------------
 
 
-def write_trace_csv(path, trace: Trace | list[IterationRecord]) -> None:
+def write_trace_csv(path, trace: list[IterationRecord]) -> None:
     lines = [TRACE_HEADER]
-    for k, psi, ref, gamma, bts, step, res, xi in Trace.of(trace).rows:
+    for k, psi, ref, gamma, bts, step, res, xi in trace:
         lines.append(
             f"{k},{psi:.17g},{ref:.17g},{gamma:.17g},"
             f"{bts},{step:.17g},{res:.17g},{xi:.17g}"
@@ -242,15 +245,15 @@ def write_trace_csv(path, trace: Trace | list[IterationRecord]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_trace_csv(path) -> Trace:
+def read_trace_csv(path) -> list[IterationRecord]:
     lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
     if not lines or lines[0] != TRACE_HEADER:
         raise ValueError(f"{path}: not a trace file")
-    rows = []
+    trace = []
     for line in lines[1:]:
         k, psi, ref, gamma, bts, step, res, xi = line.split(",")
-        rows.append(
-            (
+        trace.append(
+            IterationRecord(
                 int(k),
                 float(psi),
                 float(ref),
@@ -261,7 +264,7 @@ def read_trace_csv(path) -> Trace:
                 float(xi),
             )
         )
-    return Trace(rows)
+    return trace
 
 
 def make_x0(problem: CompositeProblem, policy: X0Policy, repeat: int) -> Vector:
@@ -299,7 +302,7 @@ def _rate_fits(
             return [], str(exc)
     else:
         return [], "no declared optimum, and no reference solve for KL exponent < 1/2"
-    refs = result.trace.columns()["reference"]
+    refs = trace_columns(result.trace)["reference"]
     try:
         if kappa >= 0.5:
             rate = diagnostics.estimate_q_factor(refs, psi_star)
@@ -321,7 +324,7 @@ def _evaluation_counts(result: RunResult) -> dict:
     failed run's trace lacks the trials of its failing iteration, so its
     evaluation counts are None.
     """
-    backtracks = int(result.trace.columns()["backtracks"].sum())
+    backtracks = int(trace_columns(result.trace)["backtracks"].sum())
     if result.status in FAILED_STATUSES:
         return {
             "total_backtracks": backtracks,
@@ -373,12 +376,7 @@ def cmd_run(config_path, out_dir=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     results = [
-        solve(
-            problem,
-            config.params,
-            make_x0(problem, config.x0_policy, i),
-            config.record_iterates,
-        )
+        solve(problem, config.params, make_x0(problem, config.x0_policy, i))
         for i in range(config.repeats)
     ]
 
@@ -450,7 +448,7 @@ def cmd_compare(config_path, out_dir=None) -> int:
     x0 = make_x0(problem, config.x0_policy, 0)
     rows = []
     for label, params in variants:
-        result = solve(problem, params, x0, config.record_iterates)
+        result = solve(problem, params, x0)
         trace_file = f"compare_{label}.csv"
         write_trace_csv(out / trace_file, result.trace)
         summary = _run_summary(problem, params, result, trace_file)

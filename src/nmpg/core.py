@@ -6,13 +6,10 @@ Extended real values are plain floats: ``math.inf`` means outside dom(phi).
 from __future__ import annotations
 
 import abc
-import dataclasses
 import enum
-import itertools
 import math
-import operator
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -284,8 +281,7 @@ FAILED_STATUSES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     """One row of the per-iteration ledger.
 
     Row k describes the state at x^k (psi, reference) plus the accepted step
@@ -304,58 +300,11 @@ class IterationRecord:
     xi: float
 
 
-TRACE_FIELDS = tuple(f.name for f in dataclasses.fields(IterationRecord))
-_record_row = operator.attrgetter(*TRACE_FIELDS)
-
-
-class Trace:
-    """The iteration ledger of a run: one plain tuple per row, in the field
-    order of IterationRecord (`TRACE_FIELDS`).
-
-    Indexing and iteration yield IterationRecords, a slice gives a Trace, and
-    a Trace compares equal to another Trace or to a list of IterationRecords
-    with the same rows. Consumers that scan a whole trace read `rows` or
-    `columns()` and build no records.
-    """
-
-    __slots__ = ("rows",)
-    __hash__ = None  # mutable, like the list it stands in for
-
-    def __init__(self, rows=()):
-        self.rows: list[tuple] = list(rows)
-
-    @classmethod
-    def of(cls, trace) -> Trace:
-        """`trace` itself if it is a Trace, else a Trace of its records' rows."""
-        if isinstance(trace, Trace):
-            return trace
-        return cls(map(_record_row, trace))
-
-    def columns(self) -> dict[str, Vector]:
-        """Each field as a contiguous float64 array, keyed by field name."""
-        table = np.array(self.rows, dtype=np.float64).reshape(-1, len(TRACE_FIELDS))
-        return dict(zip(TRACE_FIELDS, table.T.copy()))
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Trace(self.rows[i])
-        return IterationRecord(*self.rows[i])
-
-    def __iter__(self):
-        return itertools.starmap(IterationRecord, self.rows)
-
-    def __eq__(self, other):
-        if isinstance(other, Trace):
-            return self.rows == other.rows
-        if isinstance(other, list):
-            return len(other) == len(self.rows) and all(map(operator.eq, self, other))
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"Trace({list(self)!r})"
+def trace_columns(trace: list[IterationRecord]) -> dict[str, Vector]:
+    """Each field of a trace as a contiguous float64 array, keyed by field name."""
+    fields = IterationRecord._fields
+    table = np.array(trace, dtype=np.float64).reshape(-1, len(fields))
+    return dict(zip(fields, table.T.copy()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,7 +316,7 @@ class RunResult:
 
     status: RunStatus
     x_final: Vector
-    trace: Trace
+    trace: list[IterationRecord]
     wall_time: float
     iterates: list[Vector] | None = None
     detail: str = ""

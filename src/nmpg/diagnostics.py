@@ -13,9 +13,9 @@ from .core import (
     MeanReference,
     SmoothModel,
     SolverParams,
-    Trace,
     Vector,
     as_vector,
+    trace_columns,
 )
 
 EPS = float(np.finfo(np.float64).eps)
@@ -80,9 +80,7 @@ def _vacuous(name: str, note: str) -> AuditCheck:
     return AuditCheck(name, True, 0.0, 0.0, note)
 
 
-def audit_trace(
-    trace: Trace | list[IterationRecord], params: SolverParams
-) -> AuditReport:
+def audit_trace(trace: list[IterationRecord], params: SolverParams) -> AuditReport:
     """Check the per-iteration descent invariants over a whole trace.
 
     The per-step reference-drop inequalities only follow from the mean-rule
@@ -93,7 +91,7 @@ def audit_trace(
     """
     if not trace:
         raise ValueError("trace is empty")
-    cols = Trace.of(trace).columns()
+    cols = trace_columns(trace)
     psi, ref, step, xi = cols["psi"], cols["reference"], cols["step_norm"], cols["xi"]
     n = len(trace)
     checks: list[AuditCheck] = []
@@ -274,9 +272,7 @@ def iterate_distance_series(trace_x: list[Vector], x_star) -> list[float]:
     return [float(np.linalg.norm(as_vector(x) - x_star)) for x in trace_x]
 
 
-def xi_series(
-    trace: Trace | list[IterationRecord], verify_tail: bool = True
-) -> list[float]:
+def xi_series(trace: list[IterationRecord], verify_tail: bool = True) -> list[float]:
     """Square roots of successive reference drops, recomputed from the trace.
 
     Raises NegativeGap if the reference increases beyond float slack, and
@@ -285,7 +281,7 @@ def xi_series(
     """
     if len(trace) < 2:
         raise ValueError("need at least two records")
-    ref = Trace.of(trace).columns()["reference"]
+    ref = trace_columns(trace)["reference"]
     gaps = ref[:-1] - ref[1:]
     bad = gaps < -1e-12 * (1.0 + np.abs(ref[:-1]))
     if np.any(bad):

@@ -20,12 +20,12 @@ from .core import (
     BarzilaiBorweinSafeguarded,
     CompositeProblem,
     ConstantGamma,
+    IterationRecord,
     MaxReference,
     PreviousAccepted,
     RunResult,
     RunStatus,
     SolverParams,
-    Trace,
     Vector,
     as_vector,
     check_dim,
@@ -267,8 +267,8 @@ def solve(
     if not math.isfinite(phi0):
         raise ValueError("x0 lies outside dom(phi)")
 
-    trace = Trace()
-    append_row = trace.rows.append
+    trace: list[IterationRecord] = []
+    append = trace.append
     iterates: list[Vector] | None = [x0.copy()] if record_iterates else None
 
     def result(status: RunStatus, x_final: Vector, detail: str = "") -> RunResult:
@@ -310,9 +310,8 @@ def solve(
             return result(RunStatus.NUMERICAL_FAILURE, state.x, str(exc))
 
         xi = 0.0 if k == 0 else math.sqrt(max(reference_prev - state.reference, 0.0))
-        # the fields of IterationRecord, in order
-        append_row(
-            (
+        append(
+            IterationRecord(
                 k,
                 state.psi_x,
                 state.reference,

@@ -16,7 +16,6 @@ from nmpg import (
     ProblemSpec,
     RunStatus,
     SolverParams,
-    Trace,
     build_problem,
     solve,
 )
@@ -103,9 +102,9 @@ class TestDescentAudits:
 
     def test_rising_reference_fails(self):
         problem, policy, params, result = self.run()
-        rows = list(result.trace.rows)
-        rows[1] = rows[1][:2] + (rows[0][2] + 1.0,) + rows[1][3:]
-        tampered = dataclasses.replace(result, trace=Trace(rows))
+        trace = list(result.trace)
+        trace[1] = trace[1]._replace(reference=trace[0].reference + 1.0)
+        tampered = dataclasses.replace(result, trace=trace)
         ok, detail = checks.descent_audits([(problem, policy, params, tampered)])
         assert not ok
         assert "reference_nonincreasing" in detail

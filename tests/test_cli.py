@@ -53,7 +53,6 @@ BASE_CONFIG = {
     "problem": {"kind": "lasso_identity", "dim": 6, "seed": 1, "lambda": 0.5},
     "params": {"epsilon": 1e-8},
     "x0": "zeros",
-    "record_iterates": False,
     "out_dir": "runs",
     "repeats": 1,
 }
@@ -195,8 +194,6 @@ class TestConfigParsing:
                                                             "window": "wide"}}),
              "params.reference_policy.window"),
             (dict(BASE_CONFIG, x0={"policy": "seeded", "seed": -1}), "x0.seed"),
-            (dict(BASE_CONFIG, record_iterates="no"), "record_iterates"),
-            (dict(BASE_CONFIG, record_iterates=1), "record_iterates"),
             (dict(BASE_CONFIG, params={"max_outer_iters": 2.7}),
              "params.max_outer_iters"),
             (dict(BASE_CONFIG, params={"max_backtracks": True}),
@@ -301,6 +298,20 @@ class TestCmdRun:
         code = cmd_run(write_config(tmp_path, config))
         assert code == 1
         assert "gamma_min" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [True, "no", 1])
+    def test_removed_record_iterates_key_is_unknown(self, tmp_path, capsys, value):
+        config = dict(BASE_CONFIG, record_iterates=value, out_dir=str(tmp_path / "o"))
+        assert cmd_run(write_config(tmp_path, config)) == 1
+        assert capsys.readouterr().err == "config error: unknown key 'record_iterates'\n"
+
+    def test_config_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"problem": {"kind": "lasso_identity"}, "out_dir": "\xff"}')
+        assert cmd_run(path, out_dir=str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert "not UTF-8 text" in err[0]
 
     @pytest.mark.parametrize(
         "params, message",

@@ -10,19 +10,18 @@ from nmpg import (
     IterationRecord,
     L1Term,
     MaxReference,
+    MeanReference,
     Optimum,
     ProblemSpec,
     SmoothModel,
     SolverParams,
-    Trace,
     ZeroTerm,
     build_problem,
     psi_eval,
     solve,
+    trace_columns,
 )
-from nmpg.cli import read_trace_csv, write_trace_csv
-from nmpg.core import TRACE_FIELDS
-from nmpg.diagnostics import audit_trace, xi_series
+from nmpg.cli import _run_summary, read_trace_csv, write_trace_csv
 
 
 def _half_sq_norm_model(dim):
@@ -156,88 +155,51 @@ class TestSolverParams:
 
 @pytest.fixture(scope="module")
 def max_rule_run():
-    # the max rule makes every audit check run, including step_norm_decay
     problem = build_problem(ProblemSpec(kind="lasso_general", dim=12, seed=3))
-    params = SolverParams(reference_policy=MaxReference(5))
-    return solve(problem, params, np.ones(12)), params
+    return solve(problem, SolverParams(reference_policy=MaxReference(5)), np.ones(12))
 
 
 class TestTrace:
-    def test_solve_returns_a_trace(self, max_rule_run):
-        result, _ = max_rule_run
-        assert isinstance(result.trace, Trace)
-        assert len(result.trace) == result.iterations >= 20
-
-    def test_indexing_and_iteration_yield_records(self, max_rule_run):
-        trace = max_rule_run[0].trace
-        records = list(trace)
-        assert all(type(r) is IterationRecord for r in records)
-        assert [r.k for r in records] == list(range(len(trace)))
-        assert trace[0] == records[0]
-        assert trace[-1] == records[-1]
-        assert trace[-3] == records[len(records) - 3]
-        with pytest.raises(IndexError):
-            trace[len(trace)]
-
-    def test_slices_are_traces(self, max_rule_run):
-        trace = max_rule_run[0].trace
-        records = list(trace)
-        for s in (slice(2, 7), slice(-4, None), slice(None, None, 3), slice(5, 5)):
-            part = trace[s]
-            assert isinstance(part, Trace)
-            assert part == records[s]
-            assert len(part) == len(records[s])
-
-    def test_equality_in_both_directions(self, max_rule_run):
-        trace = max_rule_run[0].trace
-        records = list(trace)
-        assert trace == records and records == trace
-        assert trace == Trace(list(trace.rows)) and Trace.of(records) == trace
-        assert not trace != records and not records != trace
-        changed = list(records)
-        changed[4] = dataclasses.replace(changed[4], xi=changed[4].xi + 1.0)
-        assert trace != changed and changed != trace
-        assert trace != Trace.of(changed)
-        assert trace != records[:-1] and records[:-1] != trace
-        assert trace != [] and Trace() == [] and [] == Trace()
-        assert trace != tuple(records)
-        assert trace != [r.k for r in records]
-
-    def test_unhashable_like_a_list(self):
-        with pytest.raises(TypeError):
-            hash(Trace())
+    def test_solve_returns_a_list_of_records(self, max_rule_run):
+        trace = max_rule_run.trace
+        assert type(trace) is list
+        assert len(trace) == max_rule_run.iterations >= 20
+        assert all(type(r) is IterationRecord for r in trace)
+        assert [r.k for r in trace] == list(range(len(trace)))
+        # a record is a tuple in the field order
+        assert trace[0] == tuple(getattr(trace[0], f) for f in IterationRecord._fields)
 
     def test_columns_match_the_records(self, max_rule_run):
-        trace = max_rule_run[0].trace
-        cols = trace.columns()
-        assert tuple(cols) == TRACE_FIELDS
+        trace = max_rule_run.trace
+        cols = trace_columns(trace)
+        assert tuple(cols) == IterationRecord._fields
         for name, col in cols.items():
             assert col.dtype == np.float64 and col.flags.c_contiguous
             assert np.array_equal(col, [getattr(r, name) for r in trace])
-        assert all(col.shape == (0,) for col in Trace().columns().values())
+        assert tuple(trace_columns([])) == IterationRecord._fields
+        assert all(col.shape == (0,) for col in trace_columns([]).values())
 
-    def test_consumers_agree_on_a_trace_and_its_list(self, max_rule_run, tmp_path):
-        result, params = max_rule_run
-        trace, records = result.trace, list(result.trace)
-        assert audit_trace(trace, params).to_dict() == audit_trace(
-            records, params
-        ).to_dict()
-        assert xi_series(trace, verify_tail=False) == xi_series(
-            records, verify_tail=False
-        )
-        write_trace_csv(tmp_path / "trace.csv", trace)
-        write_trace_csv(tmp_path / "list.csv", records)
-        text = (tmp_path / "trace.csv").read_bytes()
-        assert text == (tmp_path / "list.csv").read_bytes()
-        assert text.count(b"\n") == len(trace) + 1
+    @pytest.mark.parametrize("rule", [MeanReference(), MaxReference(5)])
+    def test_records_read_as_the_summary_and_columns(self, rule):
+        # per-record reads of `backtracks`, `reference` and `residual` give
+        # what the columns and the run summary give
+        problem = build_problem(ProblemSpec(kind="lasso_general", dim=12, seed=3))
+        params = SolverParams(reference_policy=rule)
+        result = solve(problem, params, np.ones(12))
+        trace, cols = result.trace, trace_columns(result.trace)
+        assert sum(r.backtracks for r in trace) == int(cols["backtracks"].sum())
+        assert [r.reference for r in trace] == cols["reference"].tolist()
+        summary = _run_summary(problem, params, result, "trace.csv")
+        assert trace[-1].residual == summary["final_residual"]
+        assert summary["total_backtracks"] == sum(r.backtracks for r in trace)
 
     def test_csv_round_trip(self, max_rule_run, tmp_path):
-        trace = max_rule_run[0].trace
+        trace = max_rule_run.trace
         path = tmp_path / "trace.csv"
         write_trace_csv(path, trace)
+        assert path.read_bytes().count(b"\n") == len(trace) + 1
         back = read_trace_csv(path)
-        assert isinstance(back, Trace)
-        assert back == trace and back.rows == trace.rows
-        assert all(type(row[0]) is int and type(row[4]) is int for row in back.rows)
+        assert type(back) is list and back == trace
+        assert all(type(r.k) is int and type(r.backtracks) is int for r in back)
         write_trace_csv(tmp_path / "again.csv", back)
         assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()

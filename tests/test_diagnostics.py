@@ -14,6 +14,7 @@ from nmpg import (
     cached_reference_optimum,
     make_quartic_scalar,
     solve,
+    trace_columns,
 )
 from nmpg.cli import SeededStart, load_config, make_x0
 from nmpg.diagnostics import (
@@ -186,7 +187,7 @@ class TestAuditTrace:
         result, params = lasso_run
         trace = list(result.trace)
         j = min(5, len(trace) - 1)
-        trace[j] = dataclasses.replace(trace[j], reference=trace[j].reference + 1.0)
+        trace[j] = trace[j]._replace(reference=trace[j].reference + 1.0)
         report = audit_trace(trace, params)
         assert not report.check("reference_nonincreasing").passed
 
@@ -194,14 +195,14 @@ class TestAuditTrace:
         result, params = lasso_run
         trace = list(result.trace)
         j = min(3, len(trace) - 1)
-        trace[j] = dataclasses.replace(trace[j], reference=trace[j].psi - 1.0)
+        trace[j] = trace[j]._replace(reference=trace[j].psi - 1.0)
         report = audit_trace(trace, params)
         assert not report.check("reference_dominates_psi").passed
 
     def test_fault_step_norm_blowup(self, lasso_run):
         result, params = lasso_run
         trace = list(result.trace)
-        trace[0] = dataclasses.replace(trace[0], step_norm=1e6)
+        trace[0] = trace[0]._replace(step_norm=1e6)
         report = audit_trace(trace, params)
         assert not report.check("reference_drop_per_step").passed
         assert not report.check("step_bounded_by_xi").passed
@@ -213,7 +214,7 @@ class TestAuditTrace:
         assert len(trace) >= 20
         assert audit_trace(trace, params).passed
         head = trace[0].step_norm
-        trace[-2:] = [dataclasses.replace(r, step_norm=10.0 * head) for r in trace[-2:]]
+        trace[-2:] = [r._replace(step_norm=10.0 * head) for r in trace[-2:]]
         assert not audit_trace(trace, params).check("step_norm_decay").passed
 
     def test_mean_rule_run_with_late_long_steps_passes(self):
@@ -276,7 +277,7 @@ def test_q_fit_is_stable_under_ulp_moves_of_psi_star():
         config.params, p_min=1.0, reference_policy=MeanReference()
     )
     result = solve(problem, params, make_x0(problem, config.x0_policy, 0))
-    refs = result.trace.columns()["reference"]
+    refs = trace_columns(result.trace)["reference"]
     psi_star = cached_reference_optimum(problem)[0]
     fits = []
     for ulps in (-4, -1, 0, 1, 4):
