@@ -22,6 +22,7 @@ from nmpg import (
     trace_columns,
 )
 from nmpg.cli import _run_summary, read_trace_csv, write_trace_csv
+from nmpg.diagnostics import audit_trace, xi_series
 
 
 def _half_sq_norm_model(dim):
@@ -168,6 +169,27 @@ class TestTrace:
         assert [r.k for r in trace] == list(range(len(trace)))
         # a record is a tuple in the field order
         assert trace[0] == tuple(getattr(trace[0], f) for f in IterationRecord._fields)
+
+    def test_replace_changes_one_field_of_a_copy(self, max_rule_run):
+        record = max_rule_run.trace[4]
+        changed = record._replace(xi=record.xi + 1.0)
+        assert type(changed) is IterationRecord
+        assert changed.xi == record.xi + 1.0 and changed != record
+        assert changed[:-1] == record[:-1]
+        assert max_rule_run.trace[4] is record
+        assert tuple(record._asdict()) == IterationRecord._fields
+
+    def test_consumers_agree_on_a_trace_and_its_csv_copy(self, max_rule_run, tmp_path):
+        trace = max_rule_run.trace
+        params = SolverParams(reference_policy=MaxReference(5))
+        write_trace_csv(tmp_path / "trace.csv", trace)
+        back = read_trace_csv(tmp_path / "trace.csv")
+        assert audit_trace(back, params).to_dict() == audit_trace(
+            trace, params
+        ).to_dict()
+        assert xi_series(back, verify_tail=False) == xi_series(
+            trace, verify_tail=False
+        )
 
     def test_columns_match_the_records(self, max_rule_run):
         trace = max_rule_run.trace
