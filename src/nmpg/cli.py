@@ -280,7 +280,7 @@ def make_x0(problem: CompositeProblem, policy: X0Policy, repeat: int) -> Vector:
 
 
 def _rate_fits(
-    problem: CompositeProblem, result: RunResult
+    problem: CompositeProblem, result: RunResult, columns: dict[str, Vector]
 ) -> tuple[list[diagnostics.RateReport], str | None]:
     """Tail-rate fit of the reference values, or no fit and the reason.
 
@@ -302,7 +302,7 @@ def _rate_fits(
             return [], str(exc)
     else:
         return [], "no declared optimum, and no reference solve for KL exponent < 1/2"
-    refs = trace_columns(result.trace)["reference"]
+    refs = columns["reference"]
     try:
         if kappa >= 0.5:
             rate = diagnostics.estimate_q_factor(refs, psi_star)
@@ -316,7 +316,7 @@ def _rate_fits(
     return [rate], None
 
 
-def _evaluation_counts(result: RunResult) -> dict:
+def _evaluation_counts(result: RunResult, columns: dict[str, Vector]) -> dict:
     """Backtracks, and f, gradient and prox evaluations, of a solve.
 
     All are derived from the trace: each trial evaluates f and the prox once,
@@ -324,7 +324,7 @@ def _evaluation_counts(result: RunResult) -> dict:
     failed run's trace lacks the trials of its failing iteration, so its
     evaluation counts are None.
     """
-    backtracks = int(trace_columns(result.trace)["backtracks"].sum())
+    backtracks = int(columns["backtracks"].sum())
     if result.status in FAILED_STATUSES:
         return {
             "total_backtracks": backtracks,
@@ -348,15 +348,16 @@ def _run_summary(
     trace_file: str,
 ) -> dict:
     trace = result.trace
+    columns = trace_columns(trace)
     audit = diagnostics.audit_trace(trace, params) if trace else None
-    rates, rates_skipped = _rate_fits(problem, result)
+    rates, rates_skipped = _rate_fits(problem, result, columns)
     return {
         "trace_file": trace_file,
         "status": result.status.value,
         "detail": result.detail,
         "iterations": result.iterations,
         "final_residual": trace[-1].residual if trace else None,
-        **_evaluation_counts(result),
+        **_evaluation_counts(result, columns),
         "wall_time": result.wall_time,
         "audit": None if audit is None else audit.to_dict(),
         "rates": [r.to_dict() for r in rates],

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import abc
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
@@ -303,8 +304,9 @@ class IterationRecord(NamedTuple):
 def trace_columns(trace: list[IterationRecord]) -> dict[str, Vector]:
     """Each field of a trace as a contiguous float64 array, keyed by field name."""
     fields = IterationRecord._fields
-    table = np.array(trace, dtype=np.float64).reshape(-1, len(fields))
-    return dict(zip(fields, table.T.copy()))
+    n = len(fields) * len(trace)
+    table = np.fromiter(itertools.chain.from_iterable(trace), np.float64, count=n)
+    return dict(zip(fields, table.reshape(-1, len(fields)).T.copy()))
 
 
 @dataclass(frozen=True, eq=False)

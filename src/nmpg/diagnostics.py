@@ -29,14 +29,6 @@ class NonpositiveTail(ValueError):
     """
 
 
-class NegativeGap(ValueError):
-    """A reference value increased beyond float slack."""
-
-
-class TailNotSummable(ValueError):
-    """Reference-drop increments grow along the tail instead of decaying."""
-
-
 # -- invariant audits ----------------------------------------------------------
 
 
@@ -270,35 +262,6 @@ def iterate_distance_series(trace_x: list[Vector], x_star) -> list[float]:
     """Distances ||x^k - x_star|| for a recorded iterate sequence."""
     x_star = as_vector(x_star)
     return [float(np.linalg.norm(as_vector(x) - x_star)) for x in trace_x]
-
-
-def xi_series(trace: list[IterationRecord], verify_tail: bool = True) -> list[float]:
-    """Square roots of successive reference drops, recomputed from the trace.
-
-    Raises NegativeGap if the reference increases beyond float slack, and
-    TailNotSummable if the drops grow along the tail (the converging runs
-    this library produces have summable, eventually decaying drops).
-    """
-    if len(trace) < 2:
-        raise ValueError("need at least two records")
-    ref = trace_columns(trace)["reference"]
-    gaps = ref[:-1] - ref[1:]
-    bad = gaps < -1e-12 * (1.0 + np.abs(ref[:-1]))
-    if np.any(bad):
-        k = int(np.nonzero(bad)[0][0]) + 1
-        raise NegativeGap(f"reference increases at k={k} by {-gaps[k - 1]:.3e}")
-    xis = np.sqrt(np.maximum(gaps, 0.0))
-    if verify_tail:
-        tail = xis[xis.shape[0] // 2 :]
-        if tail.shape[0] >= 8:
-            half = tail.shape[0] // 2
-            first = float(np.mean(tail[:half]))
-            second = float(np.mean(tail[half:]))
-            if second > first + 1e-10 * (1.0 + first):
-                raise TailNotSummable(
-                    f"tail drop means grow: {first:.3e} -> {second:.3e}"
-                )
-    return [float(x) for x in xis]
 
 
 # -- brute-force oracles -------------------------------------------------------

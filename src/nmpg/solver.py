@@ -1,10 +1,11 @@
 """Nonmonotone proximal gradient iteration with stepsize backtracking.
 
-The outer loop alternates a prox step on a quadratic model of the smooth
-part with a nonmonotone acceptance test against a reference value. The
-reference is either a running convex combination of past objective values
-(mean rule, the default) or the max over a sliding window (max rule, kept
-as a comparison policy).
+`solve` is one loop. Each outer iteration takes prox steps on a quadratic
+model of the smooth part, shrinking the trial stepsize geometrically until
+one passes the nonmonotone acceptance test against the reference value. The
+reference is then updated: a running convex combination of past objective
+values (mean rule, the default) or the max over a sliding window (max rule,
+kept as a comparison policy). A failure returns its status and reason.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,98 +32,6 @@ from .core import (
 )
 
 
-class NumericalFailure(RuntimeError):
-    """A non-finite value appeared during a solve."""
-
-
-class BacktrackLimitExceeded(RuntimeError):
-    """The stepsize loop hit its cap without finding an acceptable step.
-
-    The loop is finite in exact arithmetic, so reaching the cap signals a
-    modeling or numerics problem rather than a normal outcome.
-    """
-
-
-@dataclass
-class SolverState:
-    """Mutable per-run state; confined to a single solve call."""
-
-    x: Vector
-    psi_x: float
-    reference: float
-    grad_x: Vector
-    gamma_prev: float | None = None
-    # spectral data from the previous accepted step: <dx, dg> and <dg, dg>
-    bb_num: float = math.nan
-    bb_den: float = math.nan
-
-
-@dataclass(slots=True, eq=False)
-class StepOutcome:
-    """An accepted trial step together with its bookkeeping."""
-
-    x_next: Vector
-    gamma_used: float
-    backtracks: int
-    psi_next: float
-    residual: float
-    step_norm: float
-    # gradient at x_next, cached so the outer loop evaluates it only once
-    grad_next: Vector = field(repr=False)
-
-
-def subproblem_step(
-    problem: CompositeProblem, x: Vector, grad_x: Vector, gamma: float
-) -> Vector:
-    """One prox-gradient trial: a selected minimizer of the local model
-    phi(z) + ||z - (x - gamma*grad_x)||^2 / (2 gamma).
-
-    The output is not checked for non-finite entries; `backtrack` does that.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    return problem.phi.prox(gamma, x - gamma * grad_x)
-
-
-def accept_step(
-    psi_next: float,
-    reference: float,
-    alpha_k: float,
-    gamma_k: float,
-    step_norm_sq: float,
-) -> bool:
-    """Nonmonotone sufficient-decrease test against the reference value."""
-    return psi_next <= reference - ((1.0 - alpha_k) / (2.0 * gamma_k)) * step_norm_sq
-
-
-def residual(
-    x_next: Vector, x: Vector, gamma: float, grad_next: Vector, grad_x: Vector
-) -> float:
-    """Stationarity measure ||(x_next - x)/gamma - grad_next + grad_x||.
-
-    This quantity upper-bounds the distance from 0 to the objective's limiting
-    subdifferential at x_next, so driving it below the tolerance certifies
-    approximate M-stationarity.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    r = (x_next - x) / gamma - grad_next + grad_x
-    # np.linalg.norm's own formula for a 1-D vector, without its overhead
-    return math.sqrt(float(r.dot(r)))
-
-
-def update_reference(reference: float, p_next: float, psi_next: float) -> float:
-    """Mean-rule update: convex combination of reference and new objective."""
-    return (1.0 - p_next) * reference + p_next * psi_next
-
-
-def max_rule_reference(window) -> float:
-    """Max-rule reference: largest objective value in the sliding window."""
-    if len(window) == 0:
-        raise ValueError("max-rule window is empty")
-    return float(max(window))
-
-
 def compute_m(p_min: float) -> int:
     """Smallest l with (1 - sqrt(1 - p_min)) * sqrt(l) >= 1 + sqrt(1 - p_min).
 
@@ -137,91 +45,6 @@ def compute_m(p_min: float) -> int:
     while (1.0 - r) * math.sqrt(l) < 1.0 + r:
         l += 1
     return l
-
-
-def _initial_gamma(state: SolverState, params: SolverParams) -> float:
-    pol = params.gamma_init_policy
-    if isinstance(pol, ConstantGamma):
-        raw = pol.value
-    elif isinstance(pol, PreviousAccepted):
-        raw = state.gamma_prev if state.gamma_prev is not None else params.gamma_max
-    elif isinstance(pol, BarzilaiBorweinSafeguarded):
-        # Degenerate or nonpositive curvature falls back to the largest step;
-        # the acceptance loop repairs overestimates.
-        if state.bb_den > 0.0 and math.isfinite(state.bb_num) and state.bb_num > 0.0:
-            raw = state.bb_num / state.bb_den
-        else:
-            raw = params.gamma_max
-    else:  # pragma: no cover - rejected by SolverParams validation
-        raise ValueError("unknown gamma_init_policy")
-    return min(max(raw, params.gamma_min), params.gamma_max)
-
-
-def backtrack(
-    problem: CompositeProblem, state: SolverState, params: SolverParams
-) -> StepOutcome:
-    """Shrink the trial stepsize geometrically until the acceptance test holds.
-
-    Raises BacktrackLimitExceeded after `max_backtracks` rejections and
-    NumericalFailure on any non-finite intermediate value.
-    """
-    gamma = _initial_gamma(state, params)
-    x = state.x
-    grad_x = state.grad_x
-    reference = state.reference
-    f_eval = problem.f.eval
-    phi_eval = problem.phi.eval
-    backtracks = 0
-    while True:
-        x_next = subproblem_step(problem, x, grad_x, gamma)
-        dx = x_next - x
-        step_norm_sq = float(dx.dot(dx))
-        # x is finite, so a non-finite entry of x_next makes this sum
-        # non-finite; finite entries can overflow it too, which only makes
-        # the acceptance test fail, so scan the entries only then
-        if not math.isfinite(step_norm_sq) and not np.all(np.isfinite(x_next)):
-            raise NumericalFailure("prox step produced non-finite entries")
-        f_next = float(f_eval(x_next))
-        if not math.isfinite(f_next):
-            raise NumericalFailure("smooth term overflowed at a trial point")
-        phi_next = float(phi_eval(x_next))
-        if not math.isfinite(phi_next):
-            raise NumericalFailure(
-                "phi is non-finite at a trial point (overflow or outside dom(phi))"
-            )
-        psi_next = f_next + phi_next
-        if accept_step(psi_next, reference, params.alpha, gamma, step_norm_sq):
-            grad_next = problem.f.grad(x_next)
-            res = residual(x_next, x, gamma, grad_next, grad_x)
-            # the residual vector holds -grad_next, so a non-finite entry of
-            # it makes res non-finite; as for the step, scan only then
-            if not math.isfinite(res) and not np.all(np.isfinite(grad_next)):
-                raise NumericalFailure("gradient overflowed at the accepted point")
-            return StepOutcome(
-                x_next,
-                gamma,
-                backtracks,
-                psi_next,
-                res,
-                math.sqrt(step_norm_sq),
-                grad_next,
-            )
-        # enough shrinking underflows the stepsize to 0 (1075 halvings from 1)
-        if backtracks >= params.max_backtracks or gamma * params.beta == 0.0:
-            reason = (
-                f"no acceptable stepsize after {backtracks} backtracks "
-                f"(gamma reached {gamma:.3e})"
-            )
-            # typical of the monotone rule next to a stationary point: psi no
-            # longer moves, and the required decrease is below its rounding
-            if abs(psi_next - reference) <= 4.0 * math.ulp(reference):
-                reason += (
-                    "; acceptance failed within rounding of the reference "
-                    "(the last trial's psi is within 4 ulps of it)"
-                )
-            raise BacktrackLimitExceeded(reason)
-        gamma *= params.beta
-        backtracks += 1
 
 
 def solve(
@@ -295,59 +118,113 @@ def solve(
             RunStatus.NUMERICAL_FAILURE, x0, "the gradient at x0 has non-finite entries"
         )
 
-    ref_policy = params.reference_policy
-    is_max_rule = isinstance(ref_policy, MaxReference)
-    window = deque([psi0], maxlen=ref_policy.window) if is_max_rule else None
-    state = SolverState(x=x0, psi_x=psi0, reference=psi0, grad_x=grad0)
-    reference_prev = psi0  # xi at k = 0 is defined as 0 below
+    f_eval, f_grad = problem.f.eval, problem.f.grad
+    phi_eval, prox = problem.phi.eval, problem.phi.prox
+    gamma_min, gamma_max = params.gamma_min, params.gamma_max
+    beta, max_backtracks = params.beta, params.max_backtracks
+    one_minus_alpha, epsilon, p_min = 1.0 - params.alpha, params.epsilon, params.p_min
+    policy = params.gamma_init_policy
+    previous = isinstance(policy, PreviousAccepted)
+    spectral = isinstance(policy, BarzilaiBorweinSafeguarded)
+    # the trial stepsize before clipping into [gamma_min, gamma_max]
+    trial = policy.value if isinstance(policy, ConstantGamma) else gamma_max
+    max_rule = isinstance(params.reference_policy, MaxReference)
+    window = deque([psi0], maxlen=params.reference_policy.window) if max_rule else None
+    x, psi_x, grad_x, reference = x0, psi0, grad0, psi0
+    xi = 0.0  # sqrt of the reference drop into the next row
 
     for k in range(params.max_outer_iters):
-        try:
-            out = backtrack(problem, state, params)
-        except BacktrackLimitExceeded as exc:
-            return result(RunStatus.BACKTRACK_CAP_EXCEEDED, state.x, str(exc))
-        except NumericalFailure as exc:
-            return result(RunStatus.NUMERICAL_FAILURE, state.x, str(exc))
+        gamma = min(max(trial, gamma_min), gamma_max)
+        backtracks = 0
+        while True:
+            x_next = prox(gamma, x - gamma * grad_x)
+            dx = x_next - x
+            step_norm_sq = float(dx.dot(dx))
+            # x is finite, so a non-finite entry of x_next makes this sum
+            # non-finite; finite entries can overflow it too, which only makes
+            # the acceptance test fail, so scan the entries only then
+            if not math.isfinite(step_norm_sq) and not np.all(np.isfinite(x_next)):
+                return result(
+                    RunStatus.NUMERICAL_FAILURE,
+                    x,
+                    "prox step produced non-finite entries",
+                )
+            f_next = float(f_eval(x_next))
+            if not math.isfinite(f_next):
+                return result(
+                    RunStatus.NUMERICAL_FAILURE,
+                    x,
+                    "smooth term overflowed at a trial point",
+                )
+            phi_next = float(phi_eval(x_next))
+            if not math.isfinite(phi_next):
+                return result(
+                    RunStatus.NUMERICAL_FAILURE,
+                    x,
+                    "phi is non-finite at a trial point (overflow or outside dom(phi))",
+                )
+            psi_next = f_next + phi_next
+            # nonmonotone sufficient-decrease test against the reference
+            if psi_next <= reference - (one_minus_alpha / (2.0 * gamma)) * step_norm_sq:
+                break
+            # enough shrinking underflows the stepsize to 0 (1075 halvings from 1)
+            if backtracks >= max_backtracks or gamma * beta == 0.0:
+                reason = (
+                    f"no acceptable stepsize after {backtracks} backtracks "
+                    f"(gamma reached {gamma:.3e})"
+                )
+                # typical of the monotone rule next to a stationary point: psi
+                # no longer moves, and the required decrease is below rounding
+                if abs(psi_next - reference) <= 4.0 * math.ulp(reference):
+                    reason += (
+                        "; acceptance failed within rounding of the reference "
+                        "(the last trial's psi is within 4 ulps of it)"
+                    )
+                return result(RunStatus.BACKTRACK_CAP_EXCEEDED, x, reason)
+            gamma *= beta
+            backtracks += 1
 
-        xi = 0.0 if k == 0 else math.sqrt(max(reference_prev - state.reference, 0.0))
+        grad_next = f_grad(x_next)
+        # ||dx/gamma - grad_next + grad_x|| bounds the distance from 0 to the limiting
+        # subdifferential at x_next: below epsilon, x_next is nearly M-stationary
+        r = dx / gamma - grad_next + grad_x
+        res = math.sqrt(float(r.dot(r)))
+        # r holds -grad_next, so a non-finite entry of it makes res
+        # non-finite; as for the step, scan only then
+        if not math.isfinite(res) and not np.all(np.isfinite(grad_next)):
+            return result(
+                RunStatus.NUMERICAL_FAILURE,
+                x,
+                "gradient overflowed at the accepted point",
+            )
+
         append(
             IterationRecord(
-                k,
-                state.psi_x,
-                state.reference,
-                out.gamma_used,
-                out.backtracks,
-                out.step_norm,
-                out.residual,
-                xi,
+                k, psi_x, reference, gamma, backtracks, math.sqrt(step_norm_sq), res, xi
             )
         )
         if iterates is not None:
-            iterates.append(out.x_next.copy())
+            iterates.append(x_next.copy())
 
-        # residual == 0 means an exact stationary fixed point; terminate even
-        # when epsilon = 0 since further iterations would not move.
-        if (params.epsilon > 0.0 and out.residual <= params.epsilon) or (
-            out.residual == 0.0
-        ):
-            return result(RunStatus.CONVERGED_RESIDUAL, out.x_next)
+        # res == 0 is an exact fixed point: stop there even when epsilon = 0
+        if (epsilon > 0.0 and res <= epsilon) or res == 0.0:
+            return result(RunStatus.CONVERGED_RESIDUAL, x_next)
 
-        dx = out.x_next - state.x
-        dg = out.grad_next - state.grad_x
-        state.bb_num = float(dx.dot(dg))
-        state.bb_den = float(dg.dot(dg))
+        if previous:
+            trial = gamma
+        elif spectral:
+            # <dx, dg>/<dg, dg>; degenerate or nonpositive curvature falls
+            # back to the largest step, and backtracking repairs overestimates
+            dg = grad_next - grad_x
+            num, den = float(dx.dot(dg)), float(dg.dot(dg))
+            trial = num / den if den > 0.0 and 0.0 < num < math.inf else gamma_max
 
-        reference_prev = state.reference
-        if is_max_rule:
-            window.append(out.psi_next)
-            state.reference = max_rule_reference(window)
+        if max_rule:
+            window.append(psi_next)
+            reference_next = float(max(window))
         else:
-            state.reference = update_reference(
-                state.reference, params.p_min, out.psi_next
-            )
-        state.x = out.x_next
-        state.psi_x = out.psi_next
-        state.grad_x = out.grad_next
-        state.gamma_prev = out.gamma_used
+            reference_next = (1.0 - p_min) * reference + p_min * psi_next
+        xi = math.sqrt(max(reference - reference_next, 0.0))
+        x, psi_x, grad_x, reference = x_next, psi_next, grad_next, reference_next
 
-    return result(RunStatus.MAX_ITERS, state.x)
+    return result(RunStatus.MAX_ITERS, x)

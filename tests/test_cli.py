@@ -21,6 +21,7 @@ from nmpg import (
     SolverParams,
     build_problem,
     solve,
+    trace_columns,
 )
 from nmpg.cli import (
     ConfigError,
@@ -603,7 +604,7 @@ class TestEvaluationCounts:
         x0 = make_x0(base, SeededStart(0), 0)
         result = solve(problem, params, x0)
         assert result.status is status
-        counts = _evaluation_counts(result)
+        counts = _evaluation_counts(result, trace_columns(result.trace))
         trials = result.iterations + sum(r.backtracks for r in result.trace)
         assert counts == {
             "total_backtracks": trials - result.iterations,

@@ -22,7 +22,7 @@ from nmpg import (
     trace_columns,
 )
 from nmpg.cli import _run_summary, read_trace_csv, write_trace_csv
-from nmpg.diagnostics import audit_trace, xi_series
+from nmpg.diagnostics import audit_trace
 
 
 def _half_sq_norm_model(dim):
@@ -187,9 +187,6 @@ class TestTrace:
         assert audit_trace(back, params).to_dict() == audit_trace(
             trace, params
         ).to_dict()
-        assert xi_series(back, verify_tail=False) == xi_series(
-            trace, verify_tail=False
-        )
 
     def test_columns_match_the_records(self, max_rule_run):
         trace = max_rule_run.trace

@@ -18,9 +18,7 @@ from nmpg import (
 )
 from nmpg.cli import SeededStart, load_config, make_x0
 from nmpg.diagnostics import (
-    NegativeGap,
     NonpositiveTail,
-    TailNotSummable,
     audit_trace,
     brute_force_prox_1d,
     estimate_q_factor,
@@ -28,7 +26,6 @@ from nmpg.diagnostics import (
     fit_loglog_slope,
     iterate_distance_series,
     l1_shrinkage_optimality_gap,
-    xi_series,
 )
 
 
@@ -119,56 +116,6 @@ class TestLogLogSlope:
         assert not report.passed
 
 
-class TestXiSeries:
-    def test_arithmetic(self):
-        trace = _fake_trace(references=[4.0, 1.0, 0.0])
-        xis = xi_series(trace)
-        assert xis == pytest.approx([math.sqrt(3.0), 1.0])
-
-    def test_constant_reference(self):
-        trace = _fake_trace(references=[2.0, 2.0, 2.0])
-        assert xi_series(trace) == [0.0, 0.0]
-
-    def test_negative_gap_raises(self):
-        trace = _fake_trace(references=[1.0, 2.0])
-        with pytest.raises(NegativeGap):
-            xi_series(trace)
-
-    def test_growing_tail_raises(self):
-        references = [100.0 - k**2 for k in range(20)]  # drops grow with k
-        with pytest.raises(TailNotSummable):
-            xi_series(_fake_trace(references=references))
-
-    def test_run_satisfies_step_bound(self, lasso_run):
-        result, params = lasso_run
-        xis = xi_series(result.trace)
-        a = (1.0 - params.alpha) / (2.0 * params.gamma_max)
-        for k in range(1, len(result.trace)):
-            lhs = math.sqrt(a * params.p_min) * result.trace[k - 1].step_norm
-            assert lhs <= xis[k - 1] + 1e-10
-
-
-def _fake_trace(references):
-    from nmpg import IterationRecord
-
-    out = []
-    for k, ref in enumerate(references):
-        xi = 0.0 if k == 0 else math.sqrt(max(references[k - 1] - ref, 0.0))
-        out.append(
-            IterationRecord(
-                k=k,
-                psi=ref,
-                reference=ref,
-                gamma_accepted=1.0,
-                backtracks=0,
-                step_norm=0.0,
-                residual=1.0,
-                xi=xi,
-            )
-        )
-    return out
-
-
 class TestAuditTrace:
     def test_valid_run_passes(self, lasso_run):
         result, params = lasso_run
@@ -206,6 +153,16 @@ class TestAuditTrace:
         report = audit_trace(trace, params)
         assert not report.check("reference_drop_per_step").passed
         assert not report.check("step_bounded_by_xi").passed
+
+    @pytest.mark.parametrize("j", [0, 4])
+    def test_fault_wrong_xi(self, lasso_run, j):
+        # xi is 0 at k = 0 and the square root of the reference drop after it
+        result, params = lasso_run
+        trace = list(result.trace)
+        assert audit_trace(trace, params).check("xi_consistency").passed
+        trace[j] = trace[j]._replace(xi=trace[j].xi + 1e-3)
+        report = audit_trace(trace, params)
+        assert not report.check("xi_consistency").passed
 
     def test_fault_step_norm_growth_under_max_rule(self):
         problem = build_problem(ProblemSpec(kind="lasso_general", dim=10, seed=0))

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nmpg import (
-    BacktrackLimitExceeded,
     BoxIndicator,
     CompositeProblem,
     ConstantGamma,
@@ -23,21 +22,14 @@ from nmpg import (
     SmoothModel,
     SolverParams,
     ZeroTerm,
-    accept_step,
-    backtrack,
     build_problem,
     compute_m,
     make_exp_fit_l1,
     make_lasso_identity,
     make_quartic_scalar,
-    max_rule_reference,
-    residual,
     solve,
-    subproblem_step,
-    update_reference,
 )
 from nmpg.problems import PROBLEM_KINDS, ProblemSpec
-from nmpg.solver import SolverState
 
 
 def overflowing_l1_problem():
@@ -66,50 +58,6 @@ def quadratic_problem(dim=1):
     )
 
 
-class TestAcceptStep:
-    def test_accept_case(self):
-        # threshold 5 - 0.5/2 * 0.1 = 4.975
-        assert accept_step(4.9, 5.0, 0.5, 1.0, 0.1)
-
-    def test_reject_at_reference_with_motion(self):
-        assert not accept_step(5.0, 5.0, 0.5, 1.0, 0.1)
-
-    def test_zero_step_boundary(self):
-        assert accept_step(5.0, 5.0, 0.5, 1.0, 0.0)
-        assert not accept_step(5.0 + 1e-12, 5.0, 0.5, 1.0, 0.0)
-
-
-class TestUpdateReference:
-    def test_convex_combination(self):
-        assert update_reference(10.0, 0.5, 6.0) == 8.0
-
-    def test_p_one_is_monotone(self):
-        assert update_reference(10.0, 1.0, 6.0) == 6.0
-
-    def test_fixed_point(self):
-        assert update_reference(7.0, 0.3, 7.0) == 7.0
-
-    @given(
-        st.floats(-100, 100), st.floats(0.01, 1.0), st.floats(-100, 100)
-    )
-    @settings(deadline=None)
-    def test_stays_between_inputs(self, r, p, psi):
-        out = update_reference(r, p, psi)
-        assert min(r, psi) - 1e-9 <= out <= max(r, psi) + 1e-9
-
-
-class TestMaxRule:
-    def test_max_of_window(self):
-        assert max_rule_reference([3.0, 5.0, 4.0]) == 5.0
-
-    def test_singleton(self):
-        assert max_rule_reference([2.5]) == 2.5
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            max_rule_reference([])
-
-
 class TestComputeM:
     def test_spot_values(self):
         assert compute_m(1.0) == 1
@@ -129,78 +77,265 @@ class TestComputeM:
                 compute_m(p)
 
 
-class TestSubproblemStep:
-    def test_zero_phi_is_gradient_step(self):
-        problem = quadratic_problem(3)
-        x = np.array([1.0, -2.0, 0.5])
-        g = problem.f.grad(x)
-        z = subproblem_step(problem, x, g, 0.25)
-        assert np.allclose(z, x - 0.25 * g, atol=1e-15)
-
-    def test_composes_closed_forms(self):
-        b = np.array([2.0, 0.5])
-        problem = make_lasso_identity(b, 1.0)
-        # from x = b the gradient vanishes, so the step is soft(b, lam)
-        z = subproblem_step(problem, b, problem.f.grad(b), 1.0)
-        assert np.allclose(z, [1.0, 0.0], atol=1e-15)
-
-    def test_fixed_point_at_solution(self):
-        b = np.array([2.0, 0.5])
-        problem = make_lasso_identity(b, 1.0)
-        x_star = problem.optimum.x_star
-        z = subproblem_step(problem, x_star, problem.f.grad(x_star), 1.0)
-        assert np.allclose(z, x_star, atol=1e-15)
+def table_problem(values):
+    """phi = 0 and an f that takes values[i] at x = i, with gradient -1
+    everywhere: a unit stepsize moves x from i to i + 1, with step norm 1 and
+    residual |1 - (-1) + (-1)| = 1, whatever the values are."""
+    return CompositeProblem(
+        f=SmoothModel(1, lambda x: values[int(x[0])], lambda x: -np.ones(1)),
+        phi=ZeroTerm(1),
+        name="table",
+    )
 
 
-class TestResidual:
-    def test_constant_gradient(self):
-        x, x_next = np.zeros(2), np.array([3.0, 4.0])
-        g = np.array([1.0, 1.0])
-        assert residual(x_next, x, 1.0, g, g) == pytest.approx(5.0)
-
-    def test_zero_at_rest(self):
-        x = np.array([1.0, 2.0])
-        g = np.array([0.5, -0.5])
-        assert residual(x, x, 0.7, g, g) == 0.0
+def unit_steps(**kwargs):
+    return SolverParams(epsilon=0.0, gamma_init_policy=ConstantGamma(1.0), **kwargs)
 
 
-def _state(problem, x, params):
-    x = np.asarray(x, dtype=float)
-    psi = float(problem.f.eval(x)) + problem.phi.eval(x)
-    return SolverState(x=x, psi_x=psi, reference=psi, grad_x=problem.f.grad(x))
-
-
-class TestBacktrack:
-    def test_single_acceptance_hand_computed(self):
+class TestFirstRows:
+    def test_one_step_to_the_minimizer(self):
+        # gamma = 1 maps x = 1 to 0: psi_next 0 <= 0.5 - 0.25 * 1, and the
+        # residual (0 - 1)/1 - 0 + 1 is exactly 0
         problem = quadratic_problem(1)
         params = SolverParams(alpha=0.5, gamma_init_policy=ConstantGamma(1.0))
-        out = backtrack(problem, _state(problem, [1.0], params), params)
-        # gamma = 1 maps x = 1 to 0: psi_next 0 <= 0.5 - 0.25 * 1
-        assert out.backtracks == 0
-        assert out.gamma_used == 1.0
-        assert out.x_next[0] == 0.0
-        assert out.psi_next == 0.0
+        result = solve(problem, params, [1.0])
+        assert result.status is RunStatus.CONVERGED_RESIDUAL
+        assert result.trace == [(0, 0.5, 0.5, 1.0, 0, 1.0, 0.0, 0.0)]
+        assert np.array_equal(result.x_final, [0.0])
 
-    def test_quartic_far_from_origin_backtracks(self):
-        problem = make_quartic_scalar()
-        params = SolverParams()
-        out = backtrack(problem, _state(problem, [10.0], params), params)
-        assert out.backtracks >= 1
-        assert out.psi_next < 2500.0  # accepted step actually decreased psi
+    def test_gradient_step_first_rows(self):
+        # with phi = 0 a step is x - gamma * x = 0.75 x, so psi shrinks by
+        # 0.5625 per step; |x0|^2 = 5.25, and the residual is
+        # |-x - 0.75 x + x| = 0.75 |x|
+        problem = quadratic_problem(3)
+        x0 = np.array([1.0, -2.0, 0.5])
+        params = SolverParams(
+            epsilon=0.0, max_outer_iters=2, gamma_init_policy=ConstantGamma(0.25)
+        )
+        result = solve(problem, params, x0, record_iterates=True)
+        assert result.status is RunStatus.MAX_ITERS
+        assert np.allclose(result.iterates[1], 0.75 * x0, atol=1e-15)
+        assert np.allclose(result.x_final, 0.5625 * x0, atol=1e-15)
+        norm0 = math.sqrt(5.25)
+        psi1 = 2.625 * 0.5625
+        reference1 = 0.9 * 2.625 + 0.1 * psi1
+        expected = [
+            (0, 2.625, 2.625, 0.25, 0, 0.25 * norm0, 0.75 * norm0, 0.0),
+            (
+                1,
+                psi1,
+                reference1,
+                0.25,
+                0,
+                0.25 * 0.75 * norm0,
+                0.75 * 0.75 * norm0,
+                math.sqrt(2.625 - reference1),
+            ),
+        ]
+        assert len(result.trace) == 2
+        for row, want in zip(result.trace, expected):
+            assert row == pytest.approx(want, rel=1e-15, abs=0.0)
 
-    def test_stationary_point_accepts_immediately(self):
+    def test_constant_gradient_residual(self):
+        # f linear with gradient -(3, 4): from 0, gamma = 1 steps to (3, 4);
+        # the gradients cancel in the residual, leaving |dx| = 5
+        slope = np.array([3.0, 4.0])
+        problem = CompositeProblem(
+            f=SmoothModel(2, lambda x: -float(slope @ x), lambda x: -slope),
+            phi=ZeroTerm(2),
+            name="linear",
+        )
+        params = unit_steps(max_outer_iters=1)
+        result = solve(problem, params, np.zeros(2))
+        assert result.trace == [(0, 0.0, 0.0, 1.0, 0, 5.0, 5.0, 0.0)]
+        assert np.array_equal(result.x_final, slope)
+
+    def test_prox_step_composes_closed_forms(self):
+        # from x = b the gradient vanishes, so the step is soft(b, lam), which
+        # is the solution: the residual is exactly 0
+        b = np.array([2.0, 0.5])
+        problem = make_lasso_identity(b, 1.0)
+        params = SolverParams(gamma_init_policy=ConstantGamma(1.0))
+        result = solve(problem, params, b)
+        assert result.status is RunStatus.CONVERGED_RESIDUAL
+        assert np.allclose(result.x_final, [1.0, 0.0], atol=1e-15)
+        assert result.trace[0].backtracks == 0
+        assert result.trace[0].residual == 0.0
+
+    def test_stationary_point_is_a_fixed_point_accepted_at_once(self):
         problem = make_lasso_identity(np.array([2.0, 0.5]), 1.0)
-        params = SolverParams()
-        out = backtrack(problem, _state(problem, problem.optimum.x_star, params), params)
-        assert out.backtracks == 0
-        assert out.step_norm == 0.0
-        assert out.residual == 0.0
+        x_star = problem.optimum.x_star
+        params = SolverParams(gamma_init_policy=ConstantGamma(1.0))
+        result = solve(problem, params, x_star)
+        assert np.allclose(result.x_final, x_star, atol=1e-15)
+        assert result.trace[0].backtracks == 0
+        assert result.trace[0].step_norm == 0.0
+        assert result.trace[0].residual == 0.0
 
-    def test_cap_zero_raises(self):
-        problem = make_quartic_scalar()
+    def test_quartic_far_from_origin_backtracks_to_a_decrease(self):
+        result = solve(make_quartic_scalar(), SolverParams(max_outer_iters=2), [10.0])
+        assert result.trace[0].psi == 2500.0
+        assert result.trace[0].backtracks >= 1
+        assert result.trace[1].psi < 2500.0  # accepted step actually decreased psi
+
+
+class TestAcceptance:
+    # alpha = 0.5, gamma = 1 and a unit step: the test is psi_next <= psi0 - 0.25
+
+    def test_boundary_is_accepted(self):
+        params = unit_steps(alpha=0.5, max_backtracks=0, max_outer_iters=1)
+        result = solve(table_problem([5.0, 4.75]), params, [0.0])
+        assert result.status is RunStatus.MAX_ITERS
+        assert result.trace[0].backtracks == 0
+
+    def test_one_ulp_above_the_boundary_is_rejected(self):
+        above = math.nextafter(4.75, math.inf)
+        params = unit_steps(alpha=0.5, max_backtracks=0)
+        result = solve(table_problem([5.0, above]), params, [0.0])
+        assert result.status is RunStatus.BACKTRACK_CAP_EXCEEDED
+        assert result.iterations == 0
+        assert result.detail == (
+            "no acceptable stepsize after 0 backtracks (gamma reached 1.000e+00)"
+        )
+
+    def test_no_decrease_with_motion_is_rejected_within_rounding(self):
+        params = unit_steps(alpha=0.5, max_backtracks=0)
+        result = solve(table_problem([5.0, 5.0]), params, [0.0])
+        assert result.status is RunStatus.BACKTRACK_CAP_EXCEEDED
+        assert result.detail == (
+            "no acceptable stepsize after 0 backtracks (gamma reached 1.000e+00)"
+            "; acceptance failed within rounding of the reference "
+            "(the last trial's psi is within 4 ulps of it)"
+        )
+
+    def test_cap_zero_on_a_backtracking_step(self):
         params = SolverParams(max_backtracks=0)
-        with pytest.raises(BacktrackLimitExceeded):
-            backtrack(problem, _state(problem, [10.0], params), params)
+        result = solve(make_quartic_scalar(), params, [10.0])
+        assert result.status is RunStatus.BACKTRACK_CAP_EXCEEDED
+        assert result.iterations == 0
+        assert np.array_equal(result.x_final, [10.0])
+        assert result.detail == (
+            "no acceptable stepsize after 0 backtracks (gamma reached 1.000e+00)"
+        )
+
+
+class TestReferenceUpdate:
+    @pytest.mark.parametrize("p_min, reference", [(0.5, 8.0), (1.0, 6.0)])
+    def test_mean_rule_is_a_convex_combination(self, p_min, reference):
+        params = unit_steps(p_min=p_min, max_outer_iters=2)
+        result = solve(table_problem([10.0, 6.0, 2.0]), params, [0.0])
+        assert [r.psi for r in result.trace] == [10.0, 6.0]
+        assert result.trace[1].reference == reference
+        assert result.trace[1].xi == math.sqrt(10.0 - reference)
+
+    @given(seed=st.integers(0, 10_000), p_min=st.floats(0.01, 1.0))
+    @settings(deadline=None, max_examples=25)
+    def test_mean_rule_recurrence_on_every_row(self, seed, p_min):
+        problem = build_problem(ProblemSpec(kind="lasso_general", dim=4, seed=seed))
+        x0 = np.random.default_rng(seed).standard_normal(4)
+        result = solve(problem, SolverParams(p_min=p_min, epsilon=1e-6), x0)
+        trace = result.trace
+        for prev, row in zip(trace, trace[1:]):
+            assert row.reference == (1.0 - p_min) * prev.reference + p_min * row.psi
+            assert min(prev.reference, row.psi) - 1e-9 <= row.reference
+            assert row.reference <= max(prev.reference, row.psi) + 1e-9
+
+    def test_max_rule_is_the_window_max(self):
+        # every step is accepted: 3, 4 and 4.5 each lie 0.45 below the max 5
+        # of their window; the window of 3 then drops psi0 = 5
+        psis = [5.0, 3.0, 4.0, 4.5, 1.0]
+        params = unit_steps(reference_policy=MaxReference(3), max_outer_iters=4)
+        result = solve(table_problem(psis), params, [0.0])
+        assert result.status is RunStatus.MAX_ITERS
+        assert [r.psi for r in result.trace] == psis[:4]
+        assert [r.reference for r in result.trace] == [5.0, 5.0, 5.0, 4.5]
+        assert [r.xi for r in result.trace] == [0.0, 0.0, 0.0, math.sqrt(0.5)]
+
+    def test_max_rule_window_of_one_is_the_last_psi(self):
+        params = unit_steps(reference_policy=MaxReference(1), max_outer_iters=2)
+        result = solve(table_problem([5.0, 2.5, 1.0]), params, [0.0])
+        assert [r.reference for r in result.trace] == [5.0, 2.5]
+
+
+def diagonal_quadratic(diag):
+    diag = np.asarray(diag, dtype=float)
+    return CompositeProblem(
+        f=SmoothModel(
+            diag.size, lambda x: 0.5 * float(x @ (diag * x)), lambda x: diag * x
+        ),
+        phi=ZeroTerm(diag.size),
+        name="diagonal_quadratic",
+    )
+
+
+class TestFirstTrialStepsize:
+    # f = (x1^2 + 3 x2^2)/2 from (1, 1): from a first trial of 1, the first
+    # step backtracks twice to 0.25; every trial of iteration 1 below is
+    # accepted without backtracking
+
+    @staticmethod
+    def second_row(params):
+        problem = diagonal_quadratic([1.0, 3.0])
+        result = solve(
+            problem,
+            dataclasses.replace(params, epsilon=0.0, max_outer_iters=2),
+            np.ones(2),
+            record_iterates=True,
+        )
+        assert result.iterations == 2
+        assert result.trace[1].backtracks == 0
+        return problem, result
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            SolverParams(gamma_min=0.25, gamma_init_policy=ConstantGamma(1e-3)),
+            SolverParams(gamma_max=0.25, gamma_init_policy=ConstantGamma(5.0)),
+        ],
+        ids=["below_gamma_min", "above_gamma_max"],
+    )
+    def test_constant_gamma_is_clipped_into_the_box(self, params):
+        _, result = self.second_row(params)
+        assert [r.gamma_accepted for r in result.trace] == [0.25, 0.25]
+
+    def test_previous_accepted_starts_from_the_last_stepsize(self):
+        _, result = self.second_row(SolverParams(gamma_init_policy=PreviousAccepted()))
+        assert result.trace[0].backtracks == 2
+        assert result.trace[1].gamma_accepted == result.trace[0].gamma_accepted == 0.25
+
+    @pytest.mark.parametrize(
+        "gamma_min, gamma_max, clipped",
+        [(1e-10, 1.0, None), (0.35, 1.0, 0.35), (1e-10, 0.3, 0.3)],
+        ids=["inside", "below_gamma_min", "above_gamma_max"],
+    )
+    def test_barzilai_borwein_quotient_is_clipped_into_the_box(
+        self, gamma_min, gamma_max, clipped
+    ):
+        params = SolverParams(gamma_min=gamma_min, gamma_max=gamma_max)
+        problem, result = self.second_row(params)
+        x0, x1 = result.iterates[:2]
+        dx = x1 - x0
+        dg = problem.f.grad(x1) - problem.f.grad(x0)
+        quotient = float(dx.dot(dg)) / float(dg.dot(dg))
+        assert result.trace[1].gamma_accepted == min(max(quotient, gamma_min), gamma_max)
+        if clipped is None:
+            assert gamma_min < quotient < gamma_max
+            # the quotient of this f lies between its curvature bounds 1/3 and 1
+            assert 1.0 / 3.0 < quotient < 1.0
+        else:
+            assert result.trace[1].gamma_accepted == clipped
+
+    @pytest.mark.parametrize(
+        "kind, x0",
+        [("linear", np.ones(4)), ("concave_quadratic", np.full(4, 0.5))],
+    )
+    def test_barzilai_borwein_falls_back_to_gamma_max(self, kind, x0):
+        # linear f: dg = 0; concave f: <dx, dg> < 0
+        params = SolverParams(gamma_max=2.0)
+        result = solve(DEGENERATE_CURVATURE[kind](), params, x0)
+        assert result.iterations == 2
+        assert result.trace[1].backtracks == 0
+        assert result.trace[1].gamma_accepted == 2.0
 
 
 class TestSolve:
@@ -557,7 +692,7 @@ def test_hostile_inputs_give_a_status_or_reject_the_start(
 
 # -- the scalar finiteness checks -----------------------------------------------
 #
-# backtrack tests math.isfinite on dx @ dx and on the residual, whose vector
+# solve tests math.isfinite on dx @ dx and on the residual, whose vector
 # holds -grad, and scans the entries of the trial or the gradient only when
 # that number is non-finite. Each case below gives the status, detail, trace
 # length and x_final that scanning every trial and gradient gave.
@@ -619,7 +754,7 @@ class TestScalarFiniteChecks:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_step_norm_is_rejected_not_a_prox_failure(self):
         problem = self.far_step_problem()
-        x1 = subproblem_step(problem, np.zeros(2), problem.f.grad(np.zeros(2)), 1.0)
+        x1 = problem.phi.prox(1.0, np.zeros(2) - 1.0 * problem.f.grad(np.zeros(2)))
         assert np.all(np.isfinite(x1)) and float(x1 @ x1) == math.inf
         result = solve(problem, SolverParams(), np.zeros(2))
         assert result.status is RunStatus.BACKTRACK_CAP_EXCEEDED
