@@ -39,13 +39,17 @@ def frozen_array(x) -> Vector:
 
 @dataclass(frozen=True)
 class GlobalLipschitz:
-    """The gradient is globally Lipschitz with this constant."""
+    """The gradient is globally Lipschitz with this constant.
+
+    The value is an upper bound, not necessarily the smallest constant; 0 is
+    the constant of a gradient that does not vary (an affine f).
+    """
 
     value: float
 
     def __post_init__(self):
-        if not (self.value > 0 and math.isfinite(self.value)):
-            raise ValueError("GlobalLipschitz.value must be a positive finite real")
+        if not (self.value >= 0 and math.isfinite(self.value)):
+            raise ValueError("GlobalLipschitz.value must be a nonnegative finite real")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Test-problem factories spanning globally- and locally-Lipschitz regimes.
 
-Quadratic losses (lasso variants) keep a global Lipschitz constant; the
-quartic and exponential fits only have a locally Lipschitz gradient, which
-is the regime the nonmonotone stepsize analysis is designed for. Declared
-KL exponents ride along as hypotheses for the rate diagnostics.
+Quadratic losses (lasso variants) declare a global Lipschitz constant of
+their gradient: a one-pass upper bound, recorded on the problem but never
+read by the solver. The quartic and exponential fits only have a locally
+Lipschitz gradient, which is the regime the nonmonotone stepsize analysis is
+designed for. Declared KL exponents ride along as hypotheses for the rate
+diagnostics.
 """
 
 from __future__ import annotations
@@ -64,9 +66,45 @@ def _last_point_memo(compute):
     return at
 
 
+def _finite_vector(b) -> Vector:
+    """A read-only copy of the data vector b, which must be finite."""
+    b = frozen_array(as_vector(b))
+    if not np.isfinite(b).all():
+        raise ValueError("b has non-finite entries")
+    return b
+
+
+def _matrix_data(a, b) -> tuple[np.ndarray, Vector]:
+    """Read-only copies of the data of a fit A x ~ b.
+
+    A must be a finite matrix and b a finite vector with one entry per row.
+    """
+    a = frozen_array(a)
+    if a.ndim != 2:
+        raise ValueError("A must be a matrix")
+    if not np.isfinite(a).all():
+        raise ValueError("A has non-finite entries")
+    b = _finite_vector(b)
+    if a.shape[0] != b.shape[0]:
+        raise ValueError("A and b have incompatible shapes")
+    return a, b
+
+
+def _quadratic_lipschitz_bound(a: np.ndarray) -> float:
+    """||A||_1 ||A||_inf, an upper bound on ||A||_2^2 in one pass over A.
+
+    The gradient A^T (A x - b) of 0.5 ||A x - b||^2 is ||A||_2^2-Lipschitz,
+    and ||A||_2^2 <= ||A||_1 ||A||_inf (Schur), with equality for diagonal A.
+    """
+    abs_a = np.abs(a)
+    max_col_sum = abs_a.sum(axis=0).max(initial=0.0)
+    max_row_sum = abs_a.sum(axis=1).max(initial=0.0)
+    return float(max_col_sum * max_row_sum)
+
+
 def make_lasso_identity(b, lam: float, name: str | None = None) -> CompositeProblem:
     """f(x) = 0.5 ||x - b||^2 with an l1 penalty; optimum in closed form."""
-    b = frozen_array(as_vector(b))
+    b = _finite_vector(b)
     dim = b.shape[0]
     x_star = prox_l1(b, lam)
     psi_star = 0.5 * float(np.sum((x_star - b) ** 2)) + lam * float(
@@ -96,14 +134,9 @@ def make_lasso_general(a, b, lam: float, name: str | None = None) -> CompositePr
     feeds the linear-rate tests. No reference optimum is attached; use
     `cached_reference_optimum` when one is needed.
     """
-    a = frozen_array(np.asarray(a, dtype=np.float64))
-    if a.ndim != 2:
-        raise ValueError("A must be a matrix")
-    b = frozen_array(as_vector(b))
-    if a.shape[0] != b.shape[0]:
-        raise ValueError("A and b have incompatible shapes")
+    a, b = _matrix_data(a, b)
     dim = a.shape[1]
-    lip = float(np.linalg.norm(a, 2) ** 2)
+    lip = _quadratic_lipschitz_bound(a)
 
     residual = _last_point_memo(lambda x: a @ x - b)
 
@@ -149,12 +182,7 @@ def make_quartic_regression_l0(
     a, b, lam: float, name: str | None = None
 ) -> CompositeProblem:
     """f(x) = 0.25 sum_i (<a_i, x> - b_i)^4 with an l0 penalty."""
-    a = frozen_array(np.asarray(a, dtype=np.float64))
-    if a.ndim != 2:
-        raise ValueError("A must be a matrix")
-    b = frozen_array(as_vector(b))
-    if a.shape[0] != b.shape[0]:
-        raise ValueError("A and b have incompatible shapes")
+    a, b = _matrix_data(a, b)
     dim = a.shape[1]
 
     residual = _last_point_memo(lambda x: a @ x - b)
@@ -176,14 +204,9 @@ def make_sparsity_projected_quadratic(
     a, b, s: int, name: str | None = None
 ) -> CompositeProblem:
     """f(x) = 0.5 ||A x - b||^2 constrained to at most s nonzeros."""
-    a = frozen_array(np.asarray(a, dtype=np.float64))
-    if a.ndim != 2:
-        raise ValueError("A must be a matrix")
-    b = frozen_array(as_vector(b))
-    if a.shape[0] != b.shape[0]:
-        raise ValueError("A and b have incompatible shapes")
+    a, b = _matrix_data(a, b)
     dim = a.shape[1]
-    lip = float(np.linalg.norm(a, 2) ** 2)
+    lip = _quadratic_lipschitz_bound(a)
 
     residual = _last_point_memo(lambda x: a @ x - b)
 
@@ -208,12 +231,7 @@ def make_exp_fit_l1(a, b, lam: float, name: str | None = None) -> CompositeProbl
     Overflow in exp is left to propagate; the solver reports it as a
     numerical failure.
     """
-    a = frozen_array(np.asarray(a, dtype=np.float64))
-    if a.ndim != 2:
-        raise ValueError("A must be a matrix")
-    b = frozen_array(as_vector(b))
-    if a.shape[0] != b.shape[0]:
-        raise ValueError("A and b have incompatible shapes")
+    a, b = _matrix_data(a, b)
     dim = a.shape[1]
 
     @_last_point_memo

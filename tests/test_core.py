@@ -34,6 +34,16 @@ def _half_sq_norm_model(dim):
     )
 
 
+class TestGlobalLipschitz:
+    def test_zero_is_the_constant_of_an_affine_f(self):
+        assert GlobalLipschitz(0.0).value == 0.0
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_negative_or_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="nonnegative finite real"):
+            GlobalLipschitz(value)
+
+
 class TestPsiEval:
     def test_l1_plus_quadratic(self):
         problem = CompositeProblem(

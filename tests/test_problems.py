@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 
@@ -24,7 +25,7 @@ from nmpg import (
     solve,
 )
 from nmpg.diagnostics import max_gradient_error
-from nmpg.problems import _last_point_memo
+from nmpg.problems import _diag_dominant_matrix, _last_point_memo
 
 ALL_KINDS = [
     "lasso_identity",
@@ -52,6 +53,11 @@ class TestLassoIdentity:
         b = np.array([0.5, -0.9])
         problem = make_lasso_identity(b, float(np.max(np.abs(b))))
         assert np.array_equal(problem.optimum.x_star, np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_b_rejected(self, bad):
+        with pytest.raises(ValueError, match="^b has non-finite entries$"):
+            make_lasso_identity(np.array([1.0, bad]), 1.0)
 
 
 class TestLassoGeneral:
@@ -99,11 +105,11 @@ class TestLassoGeneral:
         assert psi_star == pytest.approx(0.0, abs=1e-12)
         assert np.linalg.norm(x_star) <= 1e-8
 
-    def test_lipschitz_constant_is_spectral(self):
-        a = np.diag([1.0, 3.0])
-        problem = make_lasso_general(a, np.zeros(2), 0.1)
-        assert isinstance(problem.f.lipschitz_class, GlobalLipschitz)
-        assert problem.f.lipschitz_class.value == pytest.approx(9.0, rel=1e-12)
+    def test_zero_matrix_solves_to_the_origin(self):
+        problem = make_lasso_general(np.zeros((2, 2)), np.array([1.0, 2.0]), 0.5)
+        result = solve(problem, SolverParams(), np.array([1.0, -2.0]))
+        assert result.status is RunStatus.CONVERGED_RESIDUAL
+        assert np.array_equal(result.x_final, np.zeros(2))
 
 
 class TestQuarticScalar:
@@ -214,6 +220,80 @@ MATRIX_KINDS = [
     "sparsity_projected_quadratic",
     "exp_fit_l1",
 ]
+
+MATRIX_FACTORIES = {
+    "lasso_general": lambda a, b: make_lasso_general(a, b, 0.1),
+    "quartic_regression_l0": lambda a, b: make_quartic_regression_l0(a, b, 0.1),
+    "sparsity_projected_quadratic": lambda a, b: make_sparsity_projected_quadratic(
+        a, b, 1
+    ),
+    "exp_fit_l1": lambda a, b: make_exp_fit_l1(a, b, 0.1),
+}
+
+
+@pytest.mark.parametrize("kind", MATRIX_KINDS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["A", "b"])
+def test_non_finite_data_rejected_naming_it(kind, bad, where):
+    a, b = np.eye(3), np.ones(3)
+    if where == "A":
+        a[1, 2] = bad
+    else:
+        b[1] = bad
+    with pytest.raises(ValueError, match=f"^{where} has non-finite entries$"):
+        MATRIX_FACTORIES[kind](a, b)
+
+
+@pytest.mark.parametrize("kind", MATRIX_KINDS)
+def test_matrix_without_columns_rejected_naming_dim(kind):
+    with pytest.raises(ValueError, match="dim must be a positive integer"):
+        MATRIX_FACTORIES[kind](np.zeros((2, 0)), np.ones(2))
+
+
+QUADRATIC_KINDS = ["lasso_general", "sparsity_projected_quadratic"]
+
+
+def lipschitz_value(problem):
+    assert isinstance(problem.f.lipschitz_class, GlobalLipschitz)
+    return problem.f.lipschitz_class.value
+
+
+def spectral_sq(a):
+    return float(np.linalg.norm(a, 2) ** 2)
+
+
+@pytest.mark.parametrize("kind", QUADRATIC_KINDS)
+class TestQuadraticLipschitzBound:
+    """The declared constant bounds ||A||_2^2, the smallest valid one."""
+
+    @pytest.mark.parametrize(
+        "shape,seed", [((30, 30), 0), ((40, 15), 1), ((15, 40), 2)]
+    )
+    def test_bounds_spectral_norm_on_seeded_matrices(self, kind, shape, seed):
+        a = np.random.default_rng(seed).standard_normal(shape)
+        problem = MATRIX_FACTORIES[kind](a, np.zeros(shape[0]))
+        assert lipschitz_value(problem) >= spectral_sq(a) * (1 - 1e-12)
+
+    @pytest.mark.parametrize("dim,seed", [(10, 0), (50, 2), (200, 1)])
+    def test_bounds_spectral_norm_on_built_problems(self, kind, dim, seed):
+        # build_problem draws A first, from the spec's seed, for both kinds
+        a = _diag_dominant_matrix(dim, np.random.default_rng(seed))
+        problem = build_problem(ProblemSpec(kind=kind, dim=dim, seed=seed))
+        assert lipschitz_value(problem) >= spectral_sq(a) * (1 - 1e-12)
+
+    def test_tight_on_all_ones(self, kind):
+        a = np.ones((7, 5))
+        problem = MATRIX_FACTORIES[kind](a, np.zeros(7))
+        assert lipschitz_value(problem) == pytest.approx(spectral_sq(a), rel=1e-12)
+
+    def test_exact_on_diagonal(self, kind):
+        problem = MATRIX_FACTORIES[kind](np.diag([1.0, 3.0]), np.zeros(2))
+        assert lipschitz_value(problem) == 9.0
+
+    @pytest.mark.parametrize("rows", [2, 0])
+    def test_zero_matrix_is_valid(self, kind, rows):
+        problem = MATRIX_FACTORIES[kind](np.zeros((rows, 2)), np.ones(rows))
+        assert lipschitz_value(problem) == 0.0
 
 
 def fresh(kind):
