@@ -1,9 +1,11 @@
-"""Property checks shared by `nmpg check` and the acceptance gate.
+"""Property checks shared by `nmpg check` and the acceptance gate, and the
+brute-force oracles they compare against.
 
 Each check takes its sizes (and its random stream) as arguments, prints
 nothing and returns ``(ok, detail)``. The prox kernels, `compute_m` and
 `solve` are looked up through their modules at call time, so a test can plant
-a fault by patching the module attribute.
+a fault by patching the module attribute. `nmpg run` and `compare` never
+import this module.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from . import diagnostics, prox, solver
-from .core import FAILED_STATUSES, RunStatus
+from .core import FAILED_STATUSES, RunStatus, SmoothModel, Vector, as_vector
 
 Check = tuple[bool, str]
 
@@ -40,7 +42,7 @@ def prox_oracles(rng: np.random.Generator, n_cases: int) -> Check:
     for term, phi in terms:
         for v, gamma in cases:
             z = float(term.prox(gamma, np.array([v]))[0])
-            t = diagnostics.brute_force_prox_1d(
+            t = brute_force_prox_1d(
                 phi, gamma, v, -2.0 * abs(v) - 1.0, 2.0 * abs(v) + 1.0, 1e-4
             )
             gap = (float(phi(z)) + (z - v) ** 2 / (2.0 * gamma)) - (
@@ -83,7 +85,7 @@ def gradient_checks(problems, rng: np.random.Generator, n_points: int) -> Check:
     worst = 0.0
     for problem in problems:
         points = [rng.uniform(-0.5, 0.5, problem.dim) for _ in range(n_points)]
-        err = diagnostics.max_gradient_error(problem.f, points)
+        err = max_gradient_error(problem.f, points)
         worst = max(worst, err)
         if err > 1e-6:
             return False, f"{problem.name}: relative error {err:.3e}"
@@ -156,7 +158,98 @@ def lasso_identity_solution(problem, starts, params) -> Check:
         )
         worst_gap = max(
             worst_gap,
-            diagnostics.l1_shrinkage_optimality_gap(result.x_final, b, problem.phi.lam),
+            l1_shrinkage_optimality_gap(result.x_final, b, problem.phi.lam),
         )
     ok = worst_dist <= 1e-6 and worst_gap <= params.epsilon + 1e-12
     return ok, f"worst distance {worst_dist:.1e}, worst optimality gap {worst_gap:.1e}"
+
+
+# -- brute-force oracles -------------------------------------------------------
+
+
+def brute_force_prox_1d(
+    phi_1d, gamma: float, v: float, lo: float, hi: float, step: float
+) -> float:
+    """Grid argmin of t -> phi(t) + (t - v)^2 / (2 gamma), ternary-refined.
+
+    Independent of every closed-form prox kernel; used as the ground truth in
+    the oracle-dominance checks. phi_1d may return inf for infeasible t and
+    may either be scalar-only or accept arrays.
+    """
+    if not lo < hi:
+        raise ValueError("need lo < hi")
+    if step <= 0 or gamma <= 0:
+        raise ValueError("step and gamma must be positive")
+    ts = np.arange(lo, hi + step, step, dtype=np.float64)
+    try:
+        phis = np.asarray(phi_1d(ts), dtype=np.float64)
+        if phis.shape != ts.shape:
+            raise ValueError
+    except Exception:
+        phis = np.array([float(phi_1d(float(t))) for t in ts])
+    obj = phis + (ts - v) ** 2 / (2.0 * gamma)
+    i = int(np.argmin(obj))
+
+    def objective(t: float) -> float:
+        return float(phi_1d(t)) + (t - v) ** 2 / (2.0 * gamma)
+
+    best_t, best_val = float(ts[i]), float(obj[i])
+    a = float(ts[max(i - 1, 0)])
+    b = float(ts[min(i + 1, ts.shape[0] - 1)])
+    for _ in range(120):
+        if b - a <= 1e-12:
+            break
+        t1 = a + (b - a) / 3.0
+        t2 = b - (b - a) / 3.0
+        m1, m2 = objective(t1), objective(t2)
+        if m1 < best_val:
+            best_t, best_val = t1, m1
+        if m2 < best_val:
+            best_t, best_val = t2, m2
+        if m1 < m2:
+            b = t2
+        else:
+            a = t1
+    return best_t
+
+
+def finite_diff_gradient(f: SmoothModel, x) -> Vector:
+    """Central differences of f.eval with step max(1e-6, 1e-6|x_i|)."""
+    x = as_vector(x)
+    g = np.empty_like(x)
+    for i in range(x.shape[0]):
+        h = max(1e-6, 1e-6 * abs(float(x[i])))
+        e = np.zeros_like(x)
+        e[i] = h
+        g[i] = (f.eval(x + e) - f.eval(x - e)) / (2.0 * h)
+    return g
+
+
+def max_gradient_error(f: SmoothModel, points) -> float:
+    """Largest relative disagreement between f.grad and finite differences."""
+    worst = 0.0
+    for x in points:
+        x = as_vector(x)
+        g = f.grad(x)
+        fd = finite_diff_gradient(f, x)
+        err = float(np.linalg.norm(fd - g)) / (1.0 + float(np.linalg.norm(g)))
+        worst = max(worst, err)
+    return worst
+
+
+def l1_shrinkage_optimality_gap(x, b, lam: float) -> float:
+    """Worst componentwise optimality violation for min 0.5||x-b||^2 + lam||x||_1.
+
+    At a minimizer, nonzero components satisfy (x_i - b_i) + lam*sign(x_i) = 0
+    and zero components satisfy |b_i| <= lam; the return value is the largest
+    distance to those conditions.
+    """
+    x = as_vector(x)
+    b = as_vector(b)
+    g = x - b
+    gaps = np.where(
+        x > 0,
+        np.abs(g + lam),
+        np.where(x < 0, np.abs(g - lam), np.maximum(np.abs(g) - lam, 0.0)),
+    )
+    return float(np.max(gaps))

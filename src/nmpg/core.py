@@ -324,7 +324,6 @@ class RunResult:
     x_final: Vector
     trace: list[IterationRecord]
     wall_time: float
-    iterates: list[Vector] | None = None
     detail: str = ""
 
     @property

@@ -1,4 +1,4 @@
-"""Post-hoc trace analysis: invariant audits, rate fits, brute-force oracles."""
+"""Post-hoc trace analysis: invariant audits and rate fits."""
 
 from __future__ import annotations
 
@@ -11,10 +11,7 @@ from .core import (
     IterationRecord,
     MaxReference,
     MeanReference,
-    SmoothModel,
     SolverParams,
-    Vector,
-    as_vector,
     trace_columns,
 )
 
@@ -256,100 +253,3 @@ def fit_loglog_slope(
         tail_window=(start, start + s.shape[0]),
         passed=passed,
     )
-
-
-def iterate_distance_series(trace_x: list[Vector], x_star) -> list[float]:
-    """Distances ||x^k - x_star|| for a recorded iterate sequence."""
-    x_star = as_vector(x_star)
-    return [float(np.linalg.norm(as_vector(x) - x_star)) for x in trace_x]
-
-
-# -- brute-force oracles -------------------------------------------------------
-
-
-def brute_force_prox_1d(
-    phi_1d, gamma: float, v: float, lo: float, hi: float, step: float
-) -> float:
-    """Grid argmin of t -> phi(t) + (t - v)^2 / (2 gamma), ternary-refined.
-
-    Independent of every closed-form prox kernel; used as the ground truth in
-    the oracle-dominance checks. phi_1d may return inf for infeasible t and
-    may either be scalar-only or accept arrays.
-    """
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    if step <= 0 or gamma <= 0:
-        raise ValueError("step and gamma must be positive")
-    ts = np.arange(lo, hi + step, step, dtype=np.float64)
-    try:
-        phis = np.asarray(phi_1d(ts), dtype=np.float64)
-        if phis.shape != ts.shape:
-            raise ValueError
-    except Exception:
-        phis = np.array([float(phi_1d(float(t))) for t in ts])
-    obj = phis + (ts - v) ** 2 / (2.0 * gamma)
-    i = int(np.argmin(obj))
-
-    def objective(t: float) -> float:
-        return float(phi_1d(t)) + (t - v) ** 2 / (2.0 * gamma)
-
-    best_t, best_val = float(ts[i]), float(obj[i])
-    a = float(ts[max(i - 1, 0)])
-    b = float(ts[min(i + 1, ts.shape[0] - 1)])
-    for _ in range(120):
-        if b - a <= 1e-12:
-            break
-        t1 = a + (b - a) / 3.0
-        t2 = b - (b - a) / 3.0
-        m1, m2 = objective(t1), objective(t2)
-        if m1 < best_val:
-            best_t, best_val = t1, m1
-        if m2 < best_val:
-            best_t, best_val = t2, m2
-        if m1 < m2:
-            b = t2
-        else:
-            a = t1
-    return best_t
-
-
-def finite_diff_gradient(f: SmoothModel, x) -> Vector:
-    """Central differences of f.eval with step max(1e-6, 1e-6|x_i|)."""
-    x = as_vector(x)
-    g = np.empty_like(x)
-    for i in range(x.shape[0]):
-        h = max(1e-6, 1e-6 * abs(float(x[i])))
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (f.eval(x + e) - f.eval(x - e)) / (2.0 * h)
-    return g
-
-
-def max_gradient_error(f: SmoothModel, points) -> float:
-    """Largest relative disagreement between f.grad and finite differences."""
-    worst = 0.0
-    for x in points:
-        x = as_vector(x)
-        g = f.grad(x)
-        fd = finite_diff_gradient(f, x)
-        err = float(np.linalg.norm(fd - g)) / (1.0 + float(np.linalg.norm(g)))
-        worst = max(worst, err)
-    return worst
-
-
-def l1_shrinkage_optimality_gap(x, b, lam: float) -> float:
-    """Worst componentwise optimality violation for min 0.5||x-b||^2 + lam||x||_1.
-
-    At a minimizer, nonzero components satisfy (x_i - b_i) + lam*sign(x_i) = 0
-    and zero components satisfy |b_i| <= lam; the return value is the largest
-    distance to those conditions.
-    """
-    x = as_vector(x)
-    b = as_vector(b)
-    g = x - b
-    gaps = np.where(
-        x > 0,
-        np.abs(g + lam),
-        np.where(x < 0, np.abs(g - lam), np.maximum(np.abs(g) - lam, 0.0)),
-    )
-    return float(np.max(gaps))

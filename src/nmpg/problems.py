@@ -283,10 +283,16 @@ class ProblemSpec:
             raise ValueError(f"unknown problem kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
+        if self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
         if self.lam is not None and not (self.lam > 0 and math.isfinite(self.lam)):
             raise ValueError("lambda must be a positive finite real")
         if self.s is not None and self.s < 1:
             raise ValueError("s must be a positive integer")
+        if self.kind == "sparsity_projected_quadratic" and self.s is not None and (
+            self.s > self.dim
+        ):
+            raise ValueError(f"s must be at most dim ({self.dim})")
 
 
 def _diag_dominant_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:

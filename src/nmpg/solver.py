@@ -11,6 +11,7 @@ kept as a comparison policy). A failure returns its status and reason.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from collections import deque
 
@@ -47,12 +48,13 @@ def compute_m(p_min: float) -> int:
     return l
 
 
-def solve(
-    problem: CompositeProblem,
-    params: SolverParams,
-    x0,
-    record_iterates: bool = False,
-) -> RunResult:
+def _described(value) -> str:
+    if isinstance(value, np.ndarray):
+        return f"an array of shape {value.shape} and dtype {value.dtype}"
+    return f"a {type(value).__name__}"
+
+
+def solve(problem: CompositeProblem, params: SolverParams, x0) -> RunResult:
     """Run the nonmonotone proximal gradient method from x0.
 
     Parameters
@@ -64,10 +66,9 @@ def solve(
         (except for an exact fixed point, whose residual is exactly zero) and
         the run ends at max_outer_iters.
     x0 : array_like
-        Finite starting point in dom(phi). Rejected with ValueError otherwise.
-    record_iterates : bool
-        When True the result carries the full iterate sequence x^0..x^final
-        (one entry more than the trace length).
+        Finite starting point in dom(phi). Rejected with ValueError otherwise,
+        as is an f whose value at x0 is not a real scalar or whose gradient
+        at x0 is not a real array of shape (dim,).
 
     Returns
     -------
@@ -75,6 +76,10 @@ def solve(
         Final point, status, and one IterationRecord per outer iteration.
         Backtrack-cap and numerical failures are reported as statuses with
         the partial trace and the reason (`detail`) attached, not raised.
+
+    f.grad is called once at x0 and then once at each accepted point, in
+    order, so a wrapped f.grad sees the iterates x^0, x^1, ... (plus the last
+    trial point when the run fails because the gradient there is non-finite).
     """
     t_start = time.perf_counter()
     x0 = as_vector(np.array(x0, dtype=np.float64))
@@ -92,7 +97,6 @@ def solve(
 
     trace: list[IterationRecord] = []
     append = trace.append
-    iterates: list[Vector] | None = [x0.copy()] if record_iterates else None
 
     def result(status: RunStatus, x_final: Vector, detail: str = "") -> RunResult:
         return RunResult(
@@ -100,12 +104,17 @@ def solve(
             x_final=x_final,
             trace=trace,
             wall_time=time.perf_counter() - t_start,
-            iterates=iterates,
             detail=detail,
         )
 
+    # the loop trusts what f returns; check its value and gradient once, at x0
+    f0 = problem.f.eval(x0)
+    if not isinstance(f0, numbers.Real) and not (
+        isinstance(f0, np.ndarray) and f0.shape == () and f0.dtype.kind in "iuf"
+    ):
+        raise ValueError(f"f.eval(x0) returned {_described(f0)}, expected a real scalar")
     # an overflowing sum would leave an infinite reference that accepts anything
-    psi0 = float(problem.f.eval(x0)) + phi0
+    psi0 = float(f0) + phi0
     if not math.isfinite(psi0):
         return result(
             RunStatus.NUMERICAL_FAILURE,
@@ -113,6 +122,15 @@ def solve(
             f"the start objective f(x0) + phi(x0) is non-finite ({psi0!r})",
         )
     grad0 = problem.f.grad(x0)
+    if not (
+        isinstance(grad0, np.ndarray)
+        and grad0.shape == x0.shape
+        and grad0.dtype.kind in "iuf"
+    ):
+        raise ValueError(
+            f"f.grad(x0) returned {_described(grad0)}, "
+            f"expected a real array of shape {x0.shape}"
+        )
     if not np.all(np.isfinite(grad0)):
         return result(
             RunStatus.NUMERICAL_FAILURE, x0, "the gradient at x0 has non-finite entries"
@@ -203,8 +221,6 @@ def solve(
                 k, psi_x, reference, gamma, backtracks, math.sqrt(step_norm_sq), res, xi
             )
         )
-        if iterates is not None:
-            iterates.append(x_next.copy())
 
         # res == 0 is an exact fixed point: stop there even when epsilon = 0
         if (epsilon > 0.0 and res <= epsilon) or res == 0.0:

@@ -26,7 +26,12 @@ from nmpg.checks import (
     sparsity_enumeration,
 )
 from nmpg.cli import SeededStart, ZerosStart, cmd_run, make_x0
-from nmpg.diagnostics import estimate_q_factor, fit_loglog_slope, iterate_distance_series
+from nmpg.diagnostics import estimate_q_factor, fit_loglog_slope
+
+
+def iterate_distance_series(iterates, x_star) -> list[float]:
+    """Distances ||x^k - x_star|| for a recorded iterate sequence."""
+    return [float(np.linalg.norm(x - x_star)) for x in iterates]
 
 
 def _report(name, ok, detail=""):
@@ -128,18 +133,18 @@ def test_criterion_4_linear_rate_class():
     )
 
 
-def test_criterion_5_sublinear_rate_class():
+def test_criterion_5_sublinear_rate_class(solve_recording):
     t0 = time.perf_counter()
     problem = build_problem(ProblemSpec(kind="quartic_scalar", dim=1))
     params = SolverParams(epsilon=0.0, max_outer_iters=100_000)
-    result = solve(problem, params, np.array([1.0]), record_iterates=True)
+    result, iterates = solve_recording(problem, params, np.array([1.0]))
     assert result.status is RunStatus.MAX_ITERS
 
     refs = [r.reference for r in result.trace]
     value_fit = fit_loglog_slope(
         refs, 0.0, tail_fraction=0.5, predicted=-2.0, tolerance=0.15
     )
-    distances = iterate_distance_series(result.iterates, np.zeros(1))
+    distances = iterate_distance_series(iterates, np.zeros(1))
     dist_fit = fit_loglog_slope(
         distances, 0.0, tail_fraction=0.5, predicted=-0.5, tolerance=0.15
     )
@@ -216,11 +221,11 @@ def test_criterion_8_lookahead_constant():
     )
 
 
-def test_criterion_9_sparsity_projection_example():
+def test_criterion_9_sparsity_projection_example(solve_recording):
     problem = make_sparsity_projected_quadratic(np.eye(2), np.array([3.0, -1.0]), 1)
-    result = solve(problem, SolverParams(), np.zeros(2), record_iterates=True)
+    result, iterates = solve_recording(problem, SolverParams(), np.zeros(2))
     dist = float(np.linalg.norm(result.x_final - np.array([3.0, 0.0])))
-    sparse_ok = all(np.count_nonzero(x) <= 1 for x in result.iterates[1:])
+    sparse_ok = all(np.count_nonzero(x) <= 1 for x in iterates[1:])
     _report(
         "criterion 9: projected gradient reaches [3, 0] and stays 1-sparse",
         result.status is RunStatus.CONVERGED_RESIDUAL and dist <= 1e-10 and sparse_ok,
@@ -250,3 +255,16 @@ def test_criterion_10_bitwise_determinism(tmp_path):
         same,
         "2 repeats compared across 2 executions",
     )
+
+
+class TestIterateDistances:
+    def test_all_zero_at_solution(self):
+        x_star = np.array([1.0, -1.0])
+        series = iterate_distance_series([x_star, x_star, x_star], x_star)
+        assert series == [0.0, 0.0, 0.0]
+
+    def test_lasso_identity_distances_vanish(self, solve_recording):
+        problem = build_problem(ProblemSpec(kind="lasso_identity", dim=6, seed=4))
+        _, iterates = solve_recording(problem, SolverParams(), np.zeros(6))
+        d = iterate_distance_series(iterates, problem.optimum.x_star)
+        assert d[-1] <= 1e-6

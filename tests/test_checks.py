@@ -1,22 +1,30 @@
 """Planted-fault tests for the shared property checks: each check passes on the
-code as it is and reports ok=False once a fault is planted in its subject."""
+code as it is and reports ok=False once a fault is planted in its subject.
+Below them, the brute-force oracles the checks compare against are tested
+on cases with known answers."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import nmpg
+import nmpg.diagnostics
 import nmpg.prox
 import nmpg.solver
 from nmpg import (
     ProblemSpec,
     RunStatus,
+    SmoothModel,
     SolverParams,
     build_problem,
+    make_quartic_scalar,
+    prox_l1,
     solve,
 )
 from nmpg import checks
@@ -190,3 +198,55 @@ def test_cli_imports_checks_only_when_checking():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("[PASS]") == 7
+
+
+MOVED_ORACLES = (
+    "brute_force_prox_1d",
+    "finite_diff_gradient",
+    "max_gradient_error",
+    "l1_shrinkage_optimality_gap",
+    "iterate_distance_series",
+)
+
+
+@pytest.mark.parametrize("name", MOVED_ORACLES)
+def test_diagnostics_holds_no_oracles(name):
+    # `nmpg run` imports diagnostics; the oracles live in checks or the tests
+    assert not hasattr(nmpg.diagnostics, name)
+
+
+class TestBruteForceProx:
+    def test_matches_soft_threshold(self):
+        t = checks.brute_force_prox_1d(abs, 1.0, 3.0, -7.0, 7.0, 1e-4)
+        assert t == pytest.approx(2.0, abs=1e-6)
+
+    def test_zero_phi_returns_v(self):
+        t = checks.brute_force_prox_1d(lambda s: 0.0, 0.5, 1.234, -4.0, 4.0, 1e-4)
+        assert t == pytest.approx(1.234, abs=1e-6)
+
+    def test_indicator_clamps(self):
+        phi = lambda s: 0.0 if 0.0 <= s <= 1.0 else math.inf
+        t = checks.brute_force_prox_1d(phi, 1.0, 2.0, -1.0, 3.0, 1e-4)
+        assert t == pytest.approx(1.0, abs=1e-6)
+
+
+class TestFiniteDiff:
+    def test_quadratic(self):
+        f = SmoothModel(2, lambda x: 0.5 * float(x @ x), lambda x: x.copy())
+        fd = checks.finite_diff_gradient(f, np.array([1.0, 2.0]))
+        assert np.allclose(fd, [1.0, 2.0], atol=1e-8)
+
+    def test_quartic(self):
+        problem = make_quartic_scalar()
+        fd = checks.finite_diff_gradient(problem.f, np.array([2.0]))
+        assert fd[0] == pytest.approx(8.0, abs=1e-5)
+
+
+class TestShrinkageGap:
+    def test_zero_at_closed_form(self):
+        b = np.array([2.0, 0.5, -3.0])
+        assert checks.l1_shrinkage_optimality_gap(prox_l1(b, 1.0), b, 1.0) <= 1e-15
+
+    def test_positive_off_solution(self):
+        b = np.array([2.0, 0.5])
+        assert checks.l1_shrinkage_optimality_gap(b, b, 1.0) > 0.5

@@ -332,6 +332,29 @@ class TestCmdRun:
         assert code == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("command", [cmd_run, cmd_compare], ids=["run", "compare"])
+    @pytest.mark.parametrize(
+        "problem, message",
+        [
+            (
+                {"kind": "sparsity_projected_quadratic", "dim": 5, "s": 9},
+                "problem.s must be at most dim (5)",
+            ),
+            (
+                {"kind": "lasso_identity", "dim": 3, "seed": -1},
+                "problem.seed must be a nonnegative integer",
+            ),
+        ],
+        ids=["s_above_dim", "negative_seed"],
+    )
+    def test_problem_that_cannot_be_built_is_config_error(
+        self, tmp_path, capsys, command, problem, message
+    ):
+        config = dict(BASE_CONFIG, problem=problem, out_dir=str(tmp_path / "o"))
+        assert command(write_config(tmp_path, config)) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_forced_backtrack_failure_exit_2(self, tmp_path, capsys):
         config = dict(
             BASE_CONFIG,

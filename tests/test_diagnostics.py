@@ -12,7 +12,6 @@ from nmpg import (
     SolverParams,
     build_problem,
     cached_reference_optimum,
-    make_quartic_scalar,
     solve,
     trace_columns,
 )
@@ -20,12 +19,8 @@ from nmpg.cli import SeededStart, load_config, make_x0
 from nmpg.diagnostics import (
     NonpositiveTail,
     audit_trace,
-    brute_force_prox_1d,
     estimate_q_factor,
-    finite_diff_gradient,
     fit_loglog_slope,
-    iterate_distance_series,
-    l1_shrinkage_optimality_gap,
 )
 
 
@@ -37,36 +32,6 @@ def lasso_run():
     problem = build_problem(ProblemSpec(kind="lasso_general", dim=10, seed=0))
     params = SolverParams()
     return solve(problem, params, np.zeros(10)), params
-
-
-class TestBruteForceProx:
-    def test_matches_soft_threshold(self):
-        t = brute_force_prox_1d(abs, 1.0, 3.0, -7.0, 7.0, 1e-4)
-        assert t == pytest.approx(2.0, abs=1e-6)
-
-    def test_zero_phi_returns_v(self):
-        t = brute_force_prox_1d(lambda s: 0.0, 0.5, 1.234, -4.0, 4.0, 1e-4)
-        assert t == pytest.approx(1.234, abs=1e-6)
-
-    def test_indicator_clamps(self):
-        phi = lambda s: 0.0 if 0.0 <= s <= 1.0 else math.inf
-        t = brute_force_prox_1d(phi, 1.0, 2.0, -1.0, 3.0, 1e-4)
-        assert t == pytest.approx(1.0, abs=1e-6)
-
-
-class TestFiniteDiff:
-    def test_quadratic(self):
-        from nmpg import GlobalLipschitz, SmoothModel
-
-        f = SmoothModel(2, lambda x: 0.5 * float(x @ x), lambda x: x.copy(),
-                        GlobalLipschitz(1.0))
-        fd = finite_diff_gradient(f, np.array([1.0, 2.0]))
-        assert np.allclose(fd, [1.0, 2.0], atol=1e-8)
-
-    def test_quartic(self):
-        problem = make_quartic_scalar()
-        fd = finite_diff_gradient(problem.f, np.array([2.0]))
-        assert fd[0] == pytest.approx(8.0, abs=1e-5)
 
 
 class TestQFactor:
@@ -197,31 +162,6 @@ class TestAuditTrace:
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
             audit_trace([], SolverParams())
-
-
-class TestIterateDistances:
-    def test_all_zero_at_solution(self):
-        x_star = np.array([1.0, -1.0])
-        series = iterate_distance_series([x_star, x_star, x_star], x_star)
-        assert series == [0.0, 0.0, 0.0]
-
-    def test_lasso_identity_distances_vanish(self):
-        problem = build_problem(ProblemSpec(kind="lasso_identity", dim=6, seed=4))
-        result = solve(problem, SolverParams(), np.zeros(6), record_iterates=True)
-        d = iterate_distance_series(result.iterates, problem.optimum.x_star)
-        assert d[-1] <= 1e-6
-
-
-class TestShrinkageGap:
-    def test_zero_at_closed_form(self):
-        b = np.array([2.0, 0.5, -3.0])
-        from nmpg import prox_l1
-
-        assert l1_shrinkage_optimality_gap(prox_l1(b, 1.0), b, 1.0) <= 1e-15
-
-    def test_positive_off_solution(self):
-        b = np.array([2.0, 0.5])
-        assert l1_shrinkage_optimality_gap(b, b, 1.0) > 0.5
 
 
 def test_q_fit_is_stable_under_ulp_moves_of_psi_star():

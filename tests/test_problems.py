@@ -24,7 +24,7 @@ from nmpg import (
     reference_optimum,
     solve,
 )
-from nmpg.diagnostics import max_gradient_error
+from nmpg.checks import max_gradient_error
 from nmpg.problems import _diag_dominant_matrix, _last_point_memo
 
 ALL_KINDS = [
@@ -206,6 +206,18 @@ def test_spec_validation():
         ProblemSpec(kind="lasso_identity", dim=0)
     with pytest.raises(ValueError):
         ProblemSpec(kind="lasso_identity", lam=-1.0)
+
+
+def test_spec_rejects_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
+        ProblemSpec(kind="lasso_identity", seed=-1)
+
+
+def test_spec_rejects_sparsity_level_above_dim():
+    with pytest.raises(ValueError, match=r"^s must be at most dim \(5\)$"):
+        ProblemSpec(kind="sparsity_projected_quadratic", dim=5, s=6)
+    problem = build_problem(ProblemSpec(kind="sparsity_projected_quadratic", dim=5, s=5))
+    assert problem.phi.s == 5
 
 
 @pytest.mark.parametrize("lam", [0.0, float("nan"), float("inf")])

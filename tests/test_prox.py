@@ -18,7 +18,7 @@ from nmpg import (
     prox_lhalf,
     prox_sparsity,
 )
-from nmpg.diagnostics import brute_force_prox_1d
+from nmpg.checks import brute_force_prox_1d
 
 
 def grid_min_1d(phi, v, gamma=1.0, step=1e-4):

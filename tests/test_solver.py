@@ -103,7 +103,7 @@ class TestFirstRows:
         assert result.trace == [(0, 0.5, 0.5, 1.0, 0, 1.0, 0.0, 0.0)]
         assert np.array_equal(result.x_final, [0.0])
 
-    def test_gradient_step_first_rows(self):
+    def test_gradient_step_first_rows(self, solve_recording):
         # with phi = 0 a step is x - gamma * x = 0.75 x, so psi shrinks by
         # 0.5625 per step; |x0|^2 = 5.25, and the residual is
         # |-x - 0.75 x + x| = 0.75 |x|
@@ -112,9 +112,9 @@ class TestFirstRows:
         params = SolverParams(
             epsilon=0.0, max_outer_iters=2, gamma_init_policy=ConstantGamma(0.25)
         )
-        result = solve(problem, params, x0, record_iterates=True)
+        result, iterates = solve_recording(problem, params, x0)
         assert result.status is RunStatus.MAX_ITERS
-        assert np.allclose(result.iterates[1], 0.75 * x0, atol=1e-15)
+        assert np.allclose(iterates[1], 0.75 * x0, atol=1e-15)
         assert np.allclose(result.x_final, 0.5625 * x0, atol=1e-15)
         norm0 = math.sqrt(5.25)
         psi1 = 2.625 * 0.5625
@@ -274,17 +274,16 @@ class TestFirstTrialStepsize:
     # accepted without backtracking
 
     @staticmethod
-    def second_row(params):
+    def second_row(params, solve_recording):
         problem = diagonal_quadratic([1.0, 3.0])
-        result = solve(
+        result, iterates = solve_recording(
             problem,
             dataclasses.replace(params, epsilon=0.0, max_outer_iters=2),
             np.ones(2),
-            record_iterates=True,
         )
         assert result.iterations == 2
         assert result.trace[1].backtracks == 0
-        return problem, result
+        return problem, result, iterates
 
     @pytest.mark.parametrize(
         "params",
@@ -294,12 +293,13 @@ class TestFirstTrialStepsize:
         ],
         ids=["below_gamma_min", "above_gamma_max"],
     )
-    def test_constant_gamma_is_clipped_into_the_box(self, params):
-        _, result = self.second_row(params)
+    def test_constant_gamma_is_clipped_into_the_box(self, params, solve_recording):
+        _, result, _ = self.second_row(params, solve_recording)
         assert [r.gamma_accepted for r in result.trace] == [0.25, 0.25]
 
-    def test_previous_accepted_starts_from_the_last_stepsize(self):
-        _, result = self.second_row(SolverParams(gamma_init_policy=PreviousAccepted()))
+    def test_previous_accepted_starts_from_the_last_stepsize(self, solve_recording):
+        params = SolverParams(gamma_init_policy=PreviousAccepted())
+        _, result, _ = self.second_row(params, solve_recording)
         assert result.trace[0].backtracks == 2
         assert result.trace[1].gamma_accepted == result.trace[0].gamma_accepted == 0.25
 
@@ -309,11 +309,11 @@ class TestFirstTrialStepsize:
         ids=["inside", "below_gamma_min", "above_gamma_max"],
     )
     def test_barzilai_borwein_quotient_is_clipped_into_the_box(
-        self, gamma_min, gamma_max, clipped
+        self, gamma_min, gamma_max, clipped, solve_recording
     ):
         params = SolverParams(gamma_min=gamma_min, gamma_max=gamma_max)
-        problem, result = self.second_row(params)
-        x0, x1 = result.iterates[:2]
+        problem, result, iterates = self.second_row(params, solve_recording)
+        x0, x1 = iterates[:2]
         dx = x1 - x0
         dg = problem.f.grad(x1) - problem.f.grad(x0)
         quotient = float(dx.dot(dg)) / float(dg.dot(dg))
@@ -497,12 +497,21 @@ class TestSolve:
         assert result.detail.startswith("no acceptable stepsize after 100 backtracks")
         assert "acceptance failed within rounding of the reference" in result.detail
 
-    def test_record_iterates_length(self):
-        problem = make_quartic_scalar()
+    def test_gradient_is_called_at_x0_and_each_accepted_point(self, solve_recording):
+        problem = build_problem(ProblemSpec(kind="exp_fit_l1", dim=6, seed=0))
+        x0 = problem.phi.prox(1.0, np.random.default_rng(4).standard_normal(6))
         params = SolverParams(epsilon=0.0, max_outer_iters=50)
-        result = solve(problem, params, np.array([1.0]), record_iterates=True)
-        assert len(result.iterates) == result.iterations + 1
-        assert np.array_equal(result.iterates[0], [1.0])
+        result, iterates = solve_recording(problem, params, x0)
+        # an exact fixed point: the last row has a zero step and residual
+        assert result.status is RunStatus.CONVERGED_RESIDUAL
+        assert result.iterations > 10 and result.trace[-1].step_norm == 0.0
+        assert len(iterates) == result.iterations + 1
+        assert np.array_equal(iterates[0], x0)
+        assert np.array_equal(iterates[-1], result.x_final)
+        # the recorded points are the iterates: step k moves x^k to x^{k+1}
+        for record, x, x_next in zip(result.trace, iterates, iterates[1:]):
+            assert record.step_norm == math.sqrt(float((x_next - x).dot(x_next - x)))
+        assert solve(problem, params, x0).trace == result.trace
 
     def test_reference_policies_agree_when_monotone(self):
         problem = build_problem(ProblemSpec(kind="lasso_general", dim=8, seed=0))
@@ -642,11 +651,11 @@ def hostile_problem(kind):
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_steep_gradient_overflows_the_bb_denominator():
+def test_steep_gradient_overflows_the_bb_denominator(solve_recording):
     problem = steep_gradient_problem()
     x0 = np.full(4, 0.5)
-    result = solve(problem, SolverParams(max_outer_iters=1), x0, record_iterates=True)
-    x1 = result.iterates[1]
+    _, iterates = solve_recording(problem, SolverParams(max_outer_iters=1), x0)
+    x1 = iterates[1]
     assert np.array_equal(x1, np.zeros(4))
     dg = problem.f.grad(x1) - problem.f.grad(x0)
     assert np.all(np.isfinite(dg)) and float(dg @ dg) == math.inf
@@ -688,6 +697,63 @@ def test_hostile_inputs_give_a_status_or_reject_the_start(
     else:
         assert not invalid_start
         assert isinstance(result.status, RunStatus)
+
+
+def with_f(problem, **callables):
+    """A copy of `problem` with f.eval or f.grad swapped out."""
+    return dataclasses.replace(problem, f=dataclasses.replace(problem.f, **callables))
+
+
+@pytest.mark.parametrize(
+    "f_grad, message",
+    [
+        # broadcast against x, this one used to give converged_residual
+        (lambda x: x[:1].copy(), "an array of shape (1,) and dtype float64"),
+        (lambda x: np.append(x, 0.0), "an array of shape (4,) and dtype float64"),
+        (lambda x: x.reshape(3, 1), "an array of shape (3, 1) and dtype float64"),
+        (lambda x: x.astype(complex), "an array of shape (3,) and dtype complex128"),
+        (lambda x: list(x), "a list"),
+    ],
+    ids=["short", "long", "column", "complex", "list"],
+)
+def test_malformed_gradient_is_rejected_naming_it(f_grad, message):
+    with pytest.raises(ValueError) as info:
+        solve(with_f(quadratic_problem(3), grad=f_grad), SolverParams(), np.ones(3))
+    assert str(info.value) == (
+        f"f.grad(x0) returned {message}, expected a real array of shape (3,)"
+    )
+
+
+@pytest.mark.parametrize(
+    "f_eval, message",
+    [
+        (lambda x: 0.5 * x * x, "an array of shape (3,) and dtype float64"),
+        (lambda x: None, "a NoneType"),
+        (lambda x: complex(0.5 * float(x @ x)), "a complex"),
+        (lambda x: np.complex128(0.5 * float(x @ x)), "a complex128"),
+    ],
+    ids=["array", "none", "complex", "numpy_complex"],
+)
+def test_malformed_value_is_rejected_naming_it(f_eval, message):
+    with pytest.raises(ValueError) as info:
+        solve(with_f(quadratic_problem(3), eval=f_eval), SolverParams(), np.ones(3))
+    assert str(info.value) == f"f.eval(x0) returned {message}, expected a real scalar"
+
+
+@pytest.mark.parametrize(
+    "f_eval",
+    [
+        lambda x: 0.5 * float(x @ x),
+        lambda x: 0.5 * (x @ x),  # a numpy float64
+        lambda x: np.asarray(0.5 * (x @ x)),  # a 0-d array
+        lambda x: int(x @ x) // 2,
+    ],
+    ids=["float", "numpy_float", "zero_dim_array", "int"],
+)
+def test_real_scalar_values_are_accepted(f_eval):
+    result = solve(with_f(quadratic_problem(3), eval=f_eval), SolverParams(), np.ones(3))
+    assert result.status is RunStatus.CONVERGED_RESIDUAL
+    assert np.array_equal(result.x_final, np.zeros(3))
 
 
 # -- the scalar finiteness checks -----------------------------------------------
