@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 import typing
 from dataclasses import dataclass
@@ -236,8 +237,13 @@ def config_to_dict(config) -> dict:
 
 
 def write_trace_csv(path, trace: list[IterationRecord]) -> None:
+    """One CSV row per record, plus a derived `xi` column: sqrt(R_{k-1} - R_k),
+    the square root of the reference drop into row k, 0 at k = 0."""
     lines = [TRACE_HEADER]
-    for k, psi, ref, gamma, bts, step, res, xi in trace:
+    ref_prev = trace[0].reference if trace else 0.0
+    for k, psi, ref, gamma, bts, step, res in trace:
+        xi = math.sqrt(max(ref_prev - ref, 0.0))
+        ref_prev = ref
         lines.append(
             f"{k},{psi:.17g},{ref:.17g},{gamma:.17g},"
             f"{bts},{step:.17g},{res:.17g},{xi:.17g}"
@@ -251,7 +257,7 @@ def read_trace_csv(path) -> list[IterationRecord]:
         raise ValueError(f"{path}: not a trace file")
     trace = []
     for line in lines[1:]:
-        k, psi, ref, gamma, bts, step, res, xi = line.split(",")
+        k, psi, ref, gamma, bts, step, res, _xi = line.split(",")
         trace.append(
             IterationRecord(
                 int(k),
@@ -261,7 +267,6 @@ def read_trace_csv(path) -> list[IterationRecord]:
                 int(bts),
                 float(step),
                 float(res),
-                float(xi),
             )
         )
     return trace

@@ -290,9 +290,7 @@ class IterationRecord(NamedTuple):
     """One row of the per-iteration ledger.
 
     Row k describes the state at x^k (psi, reference) plus the accepted step
-    that produced x^{k+1} (gamma, backtracks, step_norm, residual). `xi` is
-    sqrt(R_{k-1} - R_k), the square root of the reference drop into this row;
-    it is 0 at k = 0.
+    that produced x^{k+1} (gamma, backtracks, step_norm, residual).
     """
 
     k: int
@@ -302,7 +300,6 @@ class IterationRecord(NamedTuple):
     backtracks: int
     step_norm: float
     residual: float
-    xi: float
 
 
 def trace_columns(trace: list[IterationRecord]) -> dict[str, Vector]:

@@ -22,18 +22,6 @@ def _check_lam(lam: float) -> None:
         raise ValueError(f"lam must be a positive finite real, got {lam!r}")
 
 
-def _penalty_prox(kernel, v: Vector, gamma: float, lam: float) -> Vector:
-    """kernel(v, gamma * lam) for a term lam * penalty(x).
-
-    For positive gamma and lam the product can underflow to 0, where the
-    prox is the identity; the kernels only take tau > 0.
-    """
-    tau = gamma * lam
-    if tau == 0.0 and gamma > 0.0:
-        return as_vector(v).copy()
-    return kernel(v, tau)
-
-
 def prox_l1(v: Vector, tau: float) -> Vector:
     """Soft threshold: componentwise argmin of tau*|t| + (t - v_i)^2 / 2."""
     _check_tau(tau)
@@ -100,8 +88,8 @@ def prox_sparsity(v: Vector, s: int) -> Vector:
 
 
 @dataclass(frozen=True)
-class L1Term(NonsmoothTerm):
-    """phi(x) = lam * ||x||_1."""
+class _Penalty(NonsmoothTerm):
+    """phi(x) = lam * penalty(x), whose prox is kernel(v, gamma * lam)."""
 
     dim: int
     lam: float
@@ -110,62 +98,51 @@ class L1Term(NonsmoothTerm):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
         _check_lam(self.lam)
+
+    def prox(self, gamma: float, v: Vector) -> Vector:
+        # for positive gamma and lam the product can underflow to 0, where the
+        # prox is the identity; the kernels only take tau > 0
+        tau = gamma * self.lam
+        if tau == 0.0 and gamma > 0.0:
+            return as_vector(v).copy()
+        return self.kernel(v, tau)
+
+    @property
+    def domain_witness(self) -> Vector:
+        return np.zeros(self.dim)
+
+
+@dataclass(frozen=True)
+class L1Term(_Penalty):
+    """phi(x) = lam * ||x||_1."""
 
     def eval(self, x: Vector) -> float:
         return self.lam * float(np.abs(x).sum())
 
-    def prox(self, gamma: float, v: Vector) -> Vector:
-        return _penalty_prox(prox_l1, v, gamma, self.lam)
-
-    @property
-    def domain_witness(self) -> Vector:
-        return np.zeros(self.dim)
+    def kernel(self, v: Vector, tau: float) -> Vector:
+        return prox_l1(v, tau)
 
 
 @dataclass(frozen=True)
-class L0Term(NonsmoothTerm):
+class L0Term(_Penalty):
     """phi(x) = lam * (number of nonzero components of x)."""
-
-    dim: int
-    lam: float
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
-        _check_lam(self.lam)
 
     def eval(self, x: Vector) -> float:
         return self.lam * float(np.count_nonzero(x))
 
-    def prox(self, gamma: float, v: Vector) -> Vector:
-        return _penalty_prox(prox_l0, v, gamma, self.lam)
-
-    @property
-    def domain_witness(self) -> Vector:
-        return np.zeros(self.dim)
+    def kernel(self, v: Vector, tau: float) -> Vector:
+        return prox_l0(v, tau)
 
 
 @dataclass(frozen=True)
-class LHalfTerm(NonsmoothTerm):
+class LHalfTerm(_Penalty):
     """phi(x) = lam * sum_i sqrt(|x_i|), the p = 1/2 power penalty."""
-
-    dim: int
-    lam: float
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
-        _check_lam(self.lam)
 
     def eval(self, x: Vector) -> float:
         return self.lam * float(np.sqrt(np.abs(x)).sum())
 
-    def prox(self, gamma: float, v: Vector) -> Vector:
-        return _penalty_prox(prox_lhalf, v, gamma, self.lam)
-
-    @property
-    def domain_witness(self) -> Vector:
-        return np.zeros(self.dim)
+    def kernel(self, v: Vector, tau: float) -> Vector:
+        return prox_lhalf(v, tau)
 
 
 @dataclass(frozen=True, eq=False)

@@ -76,6 +76,8 @@ def solve(problem: CompositeProblem, params: SolverParams, x0) -> RunResult:
         Final point, status, and one IterationRecord per outer iteration.
         Backtrack-cap and numerical failures are reported as statuses with
         the partial trace and the reason (`detail`) attached, not raised.
+        A phi.prox or f.grad result that is not an array of shape (dim,)
+        raises ValueError, since it means a malformed model.
 
     f.grad is called once at x0 and then once at each accepted point, in
     order, so a wrapped f.grad sees the iterates x^0, x^1, ... (plus the last
@@ -149,13 +151,18 @@ def solve(problem: CompositeProblem, params: SolverParams, x0) -> RunResult:
     max_rule = isinstance(params.reference_policy, MaxReference)
     window = deque([psi0], maxlen=params.reference_policy.window) if max_rule else None
     x, psi_x, grad_x, reference = x0, psi0, grad0, psi0
-    xi = 0.0  # sqrt of the reference drop into the next row
 
     for k in range(params.max_outer_iters):
         gamma = min(max(trial, gamma_min), gamma_max)
         backtracks = 0
         while True:
             x_next = prox(gamma, x - gamma * grad_x)
+            # numpy would broadcast a wrong length into a plausible answer
+            if not isinstance(x_next, np.ndarray) or x_next.shape != x.shape:
+                raise ValueError(
+                    f"phi.prox returned {_described(x_next)} at iteration {k}, "
+                    f"expected an array of shape {x.shape}"
+                )
             dx = x_next - x
             step_norm_sq = float(dx.dot(dx))
             # x is finite, so a non-finite entry of x_next makes this sum
@@ -203,6 +210,11 @@ def solve(problem: CompositeProblem, params: SolverParams, x0) -> RunResult:
             backtracks += 1
 
         grad_next = f_grad(x_next)
+        if not isinstance(grad_next, np.ndarray) or grad_next.shape != x.shape:
+            raise ValueError(
+                f"f.grad returned {_described(grad_next)} at iteration {k}, "
+                f"expected an array of shape {x.shape}"
+            )
         # ||dx/gamma - grad_next + grad_x|| bounds the distance from 0 to the limiting
         # subdifferential at x_next: below epsilon, x_next is nearly M-stationary
         r = dx / gamma - grad_next + grad_x
@@ -218,7 +230,7 @@ def solve(problem: CompositeProblem, params: SolverParams, x0) -> RunResult:
 
         append(
             IterationRecord(
-                k, psi_x, reference, gamma, backtracks, math.sqrt(step_norm_sq), res, xi
+                k, psi_x, reference, gamma, backtracks, math.sqrt(step_norm_sq), res
             )
         )
 
@@ -240,7 +252,6 @@ def solve(problem: CompositeProblem, params: SolverParams, x0) -> RunResult:
             reference_next = float(max(window))
         else:
             reference_next = (1.0 - p_min) * reference + p_min * psi_next
-        xi = math.sqrt(max(reference - reference_next, 0.0))
         x, psi_x, grad_x, reference = x_next, psi_next, grad_next, reference_next
 
     return result(RunStatus.MAX_ITERS, x)

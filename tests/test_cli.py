@@ -223,6 +223,9 @@ class TestTraceFiles:
         path = tmp_path / "trace.csv"
         write_trace_csv(path, result.trace)
         assert read_trace_csv(path) == result.trace
+        # the derived xi column is rebuilt bit for bit from the references read
+        write_trace_csv(tmp_path / "again.csv", read_trace_csv(path))
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
 class TestCmdRun:

@@ -182,9 +182,9 @@ class TestTrace:
 
     def test_replace_changes_one_field_of_a_copy(self, max_rule_run):
         record = max_rule_run.trace[4]
-        changed = record._replace(xi=record.xi + 1.0)
+        changed = record._replace(residual=record.residual + 1.0)
         assert type(changed) is IterationRecord
-        assert changed.xi == record.xi + 1.0 and changed != record
+        assert changed.residual == record.residual + 1.0 and changed != record
         assert changed[:-1] == record[:-1]
         assert max_rule_run.trace[4] is record
         assert tuple(record._asdict()) == IterationRecord._fields

@@ -117,17 +117,6 @@ class TestAuditTrace:
         trace[0] = trace[0]._replace(step_norm=1e6)
         report = audit_trace(trace, params)
         assert not report.check("reference_drop_per_step").passed
-        assert not report.check("step_bounded_by_xi").passed
-
-    @pytest.mark.parametrize("j", [0, 4])
-    def test_fault_wrong_xi(self, lasso_run, j):
-        # xi is 0 at k = 0 and the square root of the reference drop after it
-        result, params = lasso_run
-        trace = list(result.trace)
-        assert audit_trace(trace, params).check("xi_consistency").passed
-        trace[j] = trace[j]._replace(xi=trace[j].xi + 1e-3)
-        report = audit_trace(trace, params)
-        assert not report.check("xi_consistency").passed
 
     def test_fault_step_norm_growth_under_max_rule(self):
         problem = build_problem(ProblemSpec(kind="lasso_general", dim=10, seed=0))
@@ -151,8 +140,8 @@ class TestAuditTrace:
         assert report.passed, [c.to_dict() for c in report.checks if not c.passed]
 
     def test_reference_drop_lost_to_rounding_passes(self):
-        # the last reference drops are below float resolution, so xi is 0
-        # while the step is about 1e-9
+        # the last reference drops are below float resolution while the step
+        # is about 1e-9
         problem = build_problem(ProblemSpec(kind="lasso_general", dim=10, seed=1))
         params = SolverParams(p_min=1.0)
         result = solve(problem, params, make_x0(problem, SeededStart(7), 1))

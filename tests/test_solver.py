@@ -29,6 +29,7 @@ from nmpg import (
     make_quartic_scalar,
     solve,
 )
+from nmpg.cli import write_trace_csv
 from nmpg.problems import PROBLEM_KINDS, ProblemSpec
 
 
@@ -100,7 +101,7 @@ class TestFirstRows:
         params = SolverParams(alpha=0.5, gamma_init_policy=ConstantGamma(1.0))
         result = solve(problem, params, [1.0])
         assert result.status is RunStatus.CONVERGED_RESIDUAL
-        assert result.trace == [(0, 0.5, 0.5, 1.0, 0, 1.0, 0.0, 0.0)]
+        assert result.trace == [(0, 0.5, 0.5, 1.0, 0, 1.0, 0.0)]
         assert np.array_equal(result.x_final, [0.0])
 
     def test_gradient_step_first_rows(self, solve_recording):
@@ -120,17 +121,8 @@ class TestFirstRows:
         psi1 = 2.625 * 0.5625
         reference1 = 0.9 * 2.625 + 0.1 * psi1
         expected = [
-            (0, 2.625, 2.625, 0.25, 0, 0.25 * norm0, 0.75 * norm0, 0.0),
-            (
-                1,
-                psi1,
-                reference1,
-                0.25,
-                0,
-                0.25 * 0.75 * norm0,
-                0.75 * 0.75 * norm0,
-                math.sqrt(2.625 - reference1),
-            ),
+            (0, 2.625, 2.625, 0.25, 0, 0.25 * norm0, 0.75 * norm0),
+            (1, psi1, reference1, 0.25, 0, 0.25 * 0.75 * norm0, 0.75 * 0.75 * norm0),
         ]
         assert len(result.trace) == 2
         for row, want in zip(result.trace, expected):
@@ -147,7 +139,7 @@ class TestFirstRows:
         )
         params = unit_steps(max_outer_iters=1)
         result = solve(problem, params, np.zeros(2))
-        assert result.trace == [(0, 0.0, 0.0, 1.0, 0, 5.0, 5.0, 0.0)]
+        assert result.trace == [(0, 0.0, 0.0, 1.0, 0, 5.0, 5.0)]
         assert np.array_equal(result.x_final, slope)
 
     def test_prox_step_composes_closed_forms(self):
@@ -219,14 +211,21 @@ class TestAcceptance:
         )
 
 
+def csv_xi(trace, tmp_path):
+    """The `xi` column that write_trace_csv derives for `trace`."""
+    write_trace_csv(tmp_path / "trace.csv", trace)
+    rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+    return [float(row.split(",")[-1]) for row in rows]
+
+
 class TestReferenceUpdate:
     @pytest.mark.parametrize("p_min, reference", [(0.5, 8.0), (1.0, 6.0)])
-    def test_mean_rule_is_a_convex_combination(self, p_min, reference):
+    def test_mean_rule_is_a_convex_combination(self, p_min, reference, tmp_path):
         params = unit_steps(p_min=p_min, max_outer_iters=2)
         result = solve(table_problem([10.0, 6.0, 2.0]), params, [0.0])
         assert [r.psi for r in result.trace] == [10.0, 6.0]
         assert result.trace[1].reference == reference
-        assert result.trace[1].xi == math.sqrt(10.0 - reference)
+        assert csv_xi(result.trace, tmp_path) == [0.0, math.sqrt(10.0 - reference)]
 
     @given(seed=st.integers(0, 10_000), p_min=st.floats(0.01, 1.0))
     @settings(deadline=None, max_examples=25)
@@ -240,7 +239,7 @@ class TestReferenceUpdate:
             assert min(prev.reference, row.psi) - 1e-9 <= row.reference
             assert row.reference <= max(prev.reference, row.psi) + 1e-9
 
-    def test_max_rule_is_the_window_max(self):
+    def test_max_rule_is_the_window_max(self, tmp_path):
         # every step is accepted: 3, 4 and 4.5 each lie 0.45 below the max 5
         # of their window; the window of 3 then drops psi0 = 5
         psis = [5.0, 3.0, 4.0, 4.5, 1.0]
@@ -249,7 +248,7 @@ class TestReferenceUpdate:
         assert result.status is RunStatus.MAX_ITERS
         assert [r.psi for r in result.trace] == psis[:4]
         assert [r.reference for r in result.trace] == [5.0, 5.0, 5.0, 4.5]
-        assert [r.xi for r in result.trace] == [0.0, 0.0, 0.0, math.sqrt(0.5)]
+        assert csv_xi(result.trace, tmp_path) == [0.0, 0.0, 0.0, math.sqrt(0.5)]
 
     def test_max_rule_window_of_one_is_the_last_psi(self):
         params = unit_steps(reference_policy=MaxReference(1), max_outer_iters=2)
@@ -754,6 +753,73 @@ def test_real_scalar_values_are_accepted(f_eval):
     result = solve(with_f(quadratic_problem(3), eval=f_eval), SolverParams(), np.ones(3))
     assert result.status is RunStatus.CONVERGED_RESIDUAL
     assert np.array_equal(result.x_final, np.zeros(3))
+
+
+class ReshapingProx(NonsmoothTerm):
+    """phi = 0, with a prox that returns `reshape(v)`."""
+
+    def __init__(self, dim, reshape):
+        self.dim = dim
+        self.reshape = reshape
+
+    def eval(self, x):
+        return 0.0
+
+    def prox(self, gamma, v):
+        return self.reshape(np.array(v, dtype=np.float64))
+
+    @property
+    def domain_witness(self):
+        return np.zeros(self.dim)
+
+
+def halving_problem(phi=None, later_grad=None):
+    """f = |x|^2/4 on dim 3, so a unit stepsize halves x; f.grad is right at
+    x0 and is `later_grad` after that, when given."""
+    grads = []
+
+    def grad(x):
+        grads.append(x)
+        return 0.5 * x if later_grad is None or len(grads) == 1 else later_grad(x)
+
+    return CompositeProblem(
+        f=SmoothModel(3, lambda x: 0.25 * float(x @ x), grad),
+        phi=phi if phi is not None else ZeroTerm(3),
+        name="halving",
+    )
+
+
+@pytest.mark.parametrize(
+    "reshape, message",
+    [
+        # broadcast against x, this one used to give converged_residual with
+        # an x_final of shape (1,)
+        (lambda v: v[:1], "an array of shape (1,) and dtype float64"),
+        # this one leaked numpy's broadcast error
+        (lambda v: v[:2], "an array of shape (2,) and dtype float64"),
+        (lambda v: list(v), "a list"),
+    ],
+    ids=["length_1", "length_2", "list"],
+)
+def test_malformed_prox_output_is_rejected_naming_it(reshape, message):
+    problem = halving_problem(phi=ReshapingProx(3, reshape))
+    with pytest.raises(ValueError) as info:
+        solve(problem, SolverParams(), np.ones(3))
+    assert str(info.value) == (
+        f"phi.prox returned {message} at iteration 0, expected an array of shape (3,)"
+    )
+
+
+def test_gradient_malformed_after_x0_is_rejected_naming_it():
+    # this used to leak numpy's "shapes (3,) and (1,) not aligned" from the
+    # Barzilai-Borwein quotient of the second iteration
+    problem = halving_problem(later_grad=lambda x: 0.5 * x[:1])
+    with pytest.raises(ValueError) as info:
+        solve(problem, SolverParams(), np.ones(3))
+    assert str(info.value) == (
+        "f.grad returned an array of shape (1,) and dtype float64 at iteration 0, "
+        "expected an array of shape (3,)"
+    )
 
 
 # -- the scalar finiteness checks -----------------------------------------------
